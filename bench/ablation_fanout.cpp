@@ -14,8 +14,9 @@
 // datagrams-per-publish column: O(chunks), flat across the whole curve,
 // versus the O(subscribers) unicast writes of the tcp rows.  `--json-out
 // <path>` writes the curve as JSON (BENCH_fanout.json is a snapshot);
-// `--smoke` runs a CI-sized 8-subscriber tcp+mcast check and exits
-// non-zero if multicast works here but the mcast mix sent no datagrams.
+// `--smoke` runs a CI-sized 8-subscriber intra+tcp+mcast check and exits
+// non-zero on any missing delivery, or if multicast works here but the
+// mcast mix sent no datagrams.
 #include <string>
 #include <vector>
 
@@ -91,6 +92,7 @@ struct MixCell {
   rsf::LatencyRecorder publish;   // pub.publish() call duration
   rsf::LatencyRecorder delivery;  // stamp-to-callback latency
   uint64_t dropped = 0;
+  uint64_t missing = 0;  // deliveries that never reached a callback
   // Multicast datagrams per publish: the O(chunks)-not-O(subscribers)
   // column — flat across the whole curve for the mcast mix, 0 elsewhere.
   double datagrams_per_publish = 0.0;
@@ -181,6 +183,8 @@ MixCell RunLaneMix(const std::string& mix, size_t subscribers, int iterations,
     // unaffected — this isolates exactly the cost the column claims.
     rsf::SleepForNanos(500'000);
   }
+  const uint64_t expected = static_cast<uint64_t>(total) * subscribers;
+  cell.missing = expected - std::min(received(), expected);
   cell.dropped = pub.getStats().dropped;
   cell.datagrams_per_publish =
       static_cast<double>(
@@ -192,14 +196,15 @@ MixCell RunLaneMix(const std::string& mix, size_t subscribers, int iterations,
 
 void PrintCurveCell(const MixCell& cell) {
   std::printf("  %-6s %5zu subs:  publish p50 %8.2f us  p99 %8.2f us   "
-              "delivery p50 %8.1f us  p99 %8.1f us   dgrams/pub %5.1f%s\n",
+              "delivery p50 %8.1f us  p99 %8.1f us   dgrams/pub %5.1f%s%s\n",
               cell.mix.c_str(), cell.subscribers,
               cell.publish.Percentile(0.5) * 1000.0,
               cell.publish.Percentile(0.99) * 1000.0,
               cell.delivery.Percentile(0.5) * 1000.0,
               cell.delivery.Percentile(0.99) * 1000.0,
               cell.datagrams_per_publish,
-              cell.dropped != 0 ? "  [DROPS]" : "");
+              cell.dropped != 0 ? "  [DROPS]" : "",
+              cell.missing != 0 ? "  [MISSING]" : "");
 }
 
 void WriteCurveJson(const std::vector<MixCell>& cells, const char* path) {
@@ -254,21 +259,33 @@ int main(int argc, char** argv) {
   rsf::SetLogLevel(rsf::LogLevel::kError);
 
   if (smoke) {
-    // CI quick run: one tcp cell plus one mcast cell at 8 subscribers.
-    // Fails loudly if multicast is available here yet the mcast mix never
-    // put a datagram on the wire — that would mean the tier silently fell
-    // back to unicast and the bench rows are lying.
+    // CI quick run: one intra, one tcp and one mcast cell at 8
+    // subscribers.  Fails on any missing delivery, and loudly if
+    // multicast is available here yet the mcast mix never put a datagram
+    // on the wire — that would mean the tier silently fell back to
+    // unicast and the bench rows are lying.
     std::printf("=== Fan-out smoke (8 subscribers, 20 iterations) ===\n\n");
-    PrintCurveCell(RunLaneMix("tcp", 8, /*iterations=*/20, /*warmup=*/2));
+    bool ok = true;
+    const auto run = [&ok](const char* mix) {
+      const MixCell cell = RunLaneMix(mix, 8, /*iterations=*/20,
+                                      /*warmup=*/2);
+      PrintCurveCell(cell);
+      if (cell.missing != 0) {
+        std::fprintf(stderr, "FAIL: the %s mix missed %llu deliveries\n",
+                     mix, static_cast<unsigned long long>(cell.missing));
+        ok = false;
+      }
+      return cell;
+    };
+    run("intra");
+    run("tcp");
     if (!rsf::net::MulticastLoopbackProbe()) {
       ::unsetenv("RSF_TRANSPORT_MCAST");
       ::unsetenv("RSF_MCAST_MIN_SUBS");
       std::printf("  mcast cell skipped: loopback multicast unavailable\n");
-      return 0;
+      return ok ? 0 : 1;
     }
-    const MixCell cell = RunLaneMix("mcast", 8, /*iterations=*/20,
-                                    /*warmup=*/2);
-    PrintCurveCell(cell);
+    const MixCell cell = run("mcast");
     ::unsetenv("RSF_TRANSPORT_MCAST");
     ::unsetenv("RSF_MCAST_MIN_SUBS");
     if (cell.datagrams_per_publish <= 0.0) {
@@ -277,7 +294,7 @@ int main(int argc, char** argv) {
                    "datagrams — tier fell back to unicast\n");
       return 1;
     }
-    return 0;
+    return ok ? 0 : 1;
   }
 
   constexpr uint32_t kWidth = 800;

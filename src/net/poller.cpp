@@ -36,19 +36,6 @@ size_t ReactorPoolSize() {
   return pool;
 }
 
-// The thread-per-connection transport was deleted in PR 4; the env knob
-// that selected it is honored only as a no-op with a warning so existing
-// launch scripts keep working.
-void WarnIfLegacyTransportRequested() {
-  if (const char* env = std::getenv("RSF_TRANSPORT")) {
-    if (std::strcmp(env, "threads") == 0) {
-      RSF_WARN(
-          "RSF_TRANSPORT=threads is deprecated: the thread-per-connection "
-          "transport was removed; using the reactor transport");
-    }
-  }
-}
-
 }  // namespace
 
 EventLoop::EventLoop() : EventLoop(ResolveIoBackendKind()) {}
@@ -299,7 +286,6 @@ void EventLoop::Run() {
 }
 
 Reactor::Reactor() {
-  WarnIfLegacyTransportRequested();
   const size_t pool = ReactorPoolSize();
   loops_.reserve(pool);
   for (size_t i = 0; i < pool; ++i) {

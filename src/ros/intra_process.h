@@ -54,18 +54,20 @@ enum class IntraTier : uint8_t {
 };
 
 /// Type-erased subscriber endpoint of one in-process link.  The concrete
-/// Subscription<M>::IntraLink downcasts the void pointer back to
-/// shared_ptr<const M>; type safety comes from the transport-checksum
-/// handshake performed by Publication::AddIntraLink before the link is
-/// accepted, exactly mirroring the TCPROS header exchange.
+/// Subscription<M>::IntraLink casts the void pointer back to
+/// `const shared_ptr<const M>*`; type safety comes from the
+/// transport-checksum handshake performed by Publication::AddIntraLink
+/// before the link is accepted, exactly mirroring the TCPROS header
+/// exchange.
 class IntraLinkBase {
  public:
   virtual ~IntraLinkBase() = default;
 
-  /// Delivers one message (a type-erased shared_ptr<const M>).  Returns
-  /// false if the subscriber is gone; the publication then culls the link.
-  virtual bool Deliver(const std::shared_ptr<const void>& message,
-                       IntraTier tier) = 0;
+  /// Delivers one message: `message` points at the publisher's
+  /// shared_ptr<const M>, borrowed for this call only (copy it to keep
+  /// it).  Returns false if the subscriber is gone; the publication then
+  /// culls the link.
+  virtual bool Deliver(const void* message, IntraTier tier) = 0;
 
   /// False once the subscriber shut down (used for counting and culling).
   [[nodiscard]] virtual bool alive() const noexcept = 0;

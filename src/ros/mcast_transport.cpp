@@ -142,16 +142,9 @@ rsf::Result<std::shared_ptr<McastGroupSender>> McastGroupSender::Create(
       group, std::move(*socket), McastRepairDepth()));
 }
 
-void McastGroupSender::Stage(uint64_t publish_id,
-                             const std::shared_ptr<const uint8_t[]>& payload,
+void McastGroupSender::Stage(const std::shared_ptr<const uint8_t[]>& payload,
                              uint32_t size) {
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const uint64_t seen : recent_publish_ids_) {
-    if (seen == publish_id) return;
-  }
-  recent_publish_ids_.push_back(publish_id);
-  if (recent_publish_ids_.size() > 64) recent_publish_ids_.pop_front();
-
   // Pin into the ring NOW: a NACK racing the flush can already be
   // repaired, and a leave-tier replay never misses a staged frame.
   const uint64_t seq = ++next_seq_;

@@ -150,11 +150,9 @@ class McastGroupSender {
 
   /// Stages one publish for the group: assigns the next seq, pins the
   /// frame in the repair ring, and queues the chunk burst for the loop
-  /// thread.  Dedupes on the publish id (defensive — Publication stages
-  /// once per publish for the whole cohort).  Publish-thread cost: one
-  /// short critical section, zero syscalls.
-  void Stage(uint64_t publish_id,
-             const std::shared_ptr<const uint8_t[]>& payload, uint32_t size);
+  /// thread.  Publication calls it once per publish for the whole cohort.
+  /// Publish-thread cost: one short critical section, zero syscalls.
+  void Stage(const std::shared_ptr<const uint8_t[]>& payload, uint32_t size);
 
   /// Drains every staged burst to the wire.  Loop-thread-only (the
   /// publication's coalesced flush kick); back-to-back publishes batch
@@ -191,7 +189,6 @@ class McastGroupSender {
   std::mutex mutex_;
   std::deque<Pinned> ring_;
   std::deque<Pinned> staged_;  // bursts awaiting the loop-thread drain
-  std::deque<uint64_t> recent_publish_ids_;  // dedupe window for racing lanes
   uint64_t next_seq_ = 0;
   uint64_t drop_counter_ = 0;  // loss-injection phase (loop-confined)
 };

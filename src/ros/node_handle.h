@@ -50,16 +50,17 @@ class Publisher {
   /// Wire subscribers get the wire form; co-located subscribers get the
   /// whole-copy tier — one clone, shared by all of them.  Everything a
   /// publish produces is built ONCE into a PublishContext and fanned out
-  /// across all lanes in a single Publish call.
+  /// across all lanes in a single Publish call; the context borrows the
+  /// typed handle, which lives on this frame until Publish returns.
   template <Message M>
   void publish(const M& msg) const {
     CheckType<M>();
     PublishContext ctx;
+    std::shared_ptr<const M> intra;
     if (impl_->HasIntraLinks()) {
-      ctx.intra = std::static_pointer_cast<const void>(
-          Serializer<M>::ToShared(msg));
+      intra = Serializer<M>::ToShared(msg);
+      ctx.intra = &intra;
       ctx.intra_tier = IntraTier::kWholeCopy;
-      ctx.has_intra = true;
     }
     if (impl_->HasTcpLinks()) ctx.payload = Serializer<M>::ToWire(msg);
     if (!ctx.empty()) impl_->Publish(std::move(ctx));
@@ -72,11 +73,11 @@ class Publisher {
   void publish(const std::shared_ptr<const M>& msg) const {
     CheckType<M>();
     PublishContext ctx;
+    std::shared_ptr<const M> intra;
     if (impl_->HasIntraLinks()) {
-      ctx.intra = std::static_pointer_cast<const void>(
-          Serializer<M>::Borrow(msg));
+      intra = Serializer<M>::Borrow(msg);
+      ctx.intra = &intra;
       ctx.intra_tier = IntraTier::kZeroCopy;
-      ctx.has_intra = true;
     }
     if (impl_->HasTcpLinks()) ctx.payload = Serializer<M>::ToWire(*msg);
     if (!ctx.empty()) impl_->Publish(std::move(ctx));

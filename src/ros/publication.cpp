@@ -285,6 +285,7 @@ void Publication::OnLinkEstablished(
     mcast_lanes_.push_back(std::move(lane));
   } else {
     lanes_.push_back(std::move(lane));
+    lane_view_.reset();
   }
   wire_lane_count_.fetch_add(1, std::memory_order_release);
   if (ctx->shm_negotiated) {
@@ -306,7 +307,9 @@ void Publication::OnLinkClosed(const std::shared_ptr<rsf::net::Link>& link,
       // A group lane lives in the cohort; a fallen-back one moved into
       // lanes_ (and already left the mcast census when it fell back).
       const size_t from_cohort = std::erase(mcast_lanes_, ctx->lane);
-      if (from_cohort + std::erase(lanes_, ctx->lane) > 0) {
+      const size_t from_lanes = std::erase(lanes_, ctx->lane);
+      if (from_lanes > 0) lane_view_.reset();
+      if (from_cohort + from_lanes > 0) {
         wire_lane_count_.fetch_sub(1, std::memory_order_release);
         if (ctx->shm_negotiated) {
           shm_lane_count_.fetch_sub(1, std::memory_order_release);
@@ -344,9 +347,6 @@ void Publication::Publish(PublishContext ctx) {
   if (ctx.has_wire()) {
     ctx.wire = {ctx.payload.data, static_cast<uint32_t>(ctx.payload.size)};
     shim::frame_builds.fetch_add(1, std::memory_order_relaxed);
-    // Identity for the mcast dedupe: every McastLane offers this context,
-    // the group sender sends one burst for the whole set.
-    ctx.publish_id = publish_id_.fetch_add(1, std::memory_order_relaxed) + 1;
     // One descriptor for the whole fan-out, and only when a shm lane is
     // live: PreparePublish resolves the payload to its shm block (nullopt
     // when it is heap-backed — tier off, below threshold, or a snapshot
@@ -374,72 +374,55 @@ void Publication::Publish(SerializedMessage message) {
 }
 
 void Publication::OfferToLanes(const PublishContext& ctx) {
-  // Snapshot under the lock, offer outside it: an in-process lane may run
-  // the subscriber callback inline (on this thread), and that callback is
-  // free to publish, subscribe, or shut down — none of which may deadlock
-  // here.  The snapshot vector is reused across publishes (steady-state
-  // publish allocates nothing); a reentrant or concurrent publish loses
-  // the try-lock and falls back to a local vector.
-  std::vector<std::shared_ptr<TransportLane>> local;
-  std::unique_lock<std::mutex> scratch_lock(scratch_mutex_, std::try_to_lock);
-  auto& snapshot = scratch_lock.owns_lock() ? publish_scratch_ : local;
+  // One reference on the immutable lane array, taken under the lock; the
+  // offers run outside it: an in-process lane may run the subscriber
+  // callback inline (on this thread), and that callback is free to
+  // publish, subscribe, or shut down — none of which may deadlock here,
+  // and none of which changes the array this publish iterates.
+  std::shared_ptr<const LaneArray> lanes;
   std::shared_ptr<McastGroupSender> mcast_sender;
   size_t mcast_members = 0;
   {
     std::lock_guard<std::mutex> lock(links_mutex_);
-    snapshot.assign(lanes_.begin(), lanes_.end());
+    if (lane_view_ == nullptr) {
+      lane_view_ = std::make_shared<const LaneArray>(lanes_);
+    }
+    lanes = lane_view_;
     mcast_members = mcast_lanes_.size();
     if (mcast_members > 0) mcast_sender = mcast_sender_;
   }
+  LaneTally tally;
   // The whole mcast cohort costs O(1) here: one staged burst (the loop
   // thread sends it — on loopback the kernel replicates a datagram to
   // every member inside sendmsg, which must never run on a publish
-  // thread) and one bulk enqueued add.  This is the tier's point: publish
-  // cost is independent of how many subscribers share the group.
+  // thread) and one bulk enqueued count.  This is the tier's point:
+  // publish cost is independent of how many subscribers share the group.
   if (ctx.has_wire() && mcast_sender != nullptr) {
-    counters_.enqueued.fetch_add(mcast_members, std::memory_order_relaxed);
-    mcast_sender->Stage(ctx.publish_id, ctx.payload.data,
+    tally.enqueued += mcast_members;
+    mcast_sender->Stage(ctx.payload.data,
                         static_cast<uint32_t>(ctx.payload.size));
   }
-  if (snapshot.empty() && mcast_sender == nullptr) return;
+  if (lanes->empty() && mcast_sender == nullptr) return;
 
   std::vector<const TransportLane*> dead;
-  for (const auto& lane : snapshot) {
-    if (!lane->Offer(ctx)) dead.push_back(lane.get());
+  for (const auto& lane : *lanes) {
+    if (!lane->Offer(ctx, &tally)) dead.push_back(lane.get());
   }
+  counters_.Add(tally, ctx.intra_tier);
   if (!dead.empty()) {
-    // Offer-reported deaths: vanished in-process subscribers and evicted
-    // (never-acking) mcast subscribers.  Collect the culled lanes so each
-    // kind balances its own census; wire lanes additionally need their
-    // link closed, which is loop-thread work.
-    std::vector<std::shared_ptr<TransportLane>> culled;
-    {
-      std::lock_guard<std::mutex> lock(links_mutex_);
-      std::erase_if(lanes_, [&](const std::shared_ptr<TransportLane>& lane) {
-        if (std::find(dead.begin(), dead.end(), lane.get()) == dead.end()) {
-          return false;
-        }
-        culled.push_back(lane);
-        return true;
-      });
-    }
-    for (const auto& lane : culled) {
-      const LaneDescription description = lane->Describe();
-      if (description.kind == LaneKind::kIntra) {
-        intra_lane_count_.fetch_sub(1, std::memory_order_release);
-        continue;
-      }
-      wire_lane_count_.fetch_sub(1, std::memory_order_release);
-      if (description.kind == LaneKind::kMcast) {
-        mcast_lane_count_.fetch_sub(1, std::memory_order_release);
-      }
-      // Close is loop-thread-only and idempotent: if the link also dies on
-      // its own, OnLinkClosed finds the lane already erased and its Close
-      // a no-op.
-      loop_->RunInLoop([lane] { lane->Close(); });
+    // Offer-reported deaths: vanished in-process subscribers (wire lanes
+    // never report one — their Link callbacks drive their lifecycle).
+    std::lock_guard<std::mutex> lock(links_mutex_);
+    const size_t culled = std::erase_if(
+        lanes_, [&](const std::shared_ptr<TransportLane>& lane) {
+          return std::find(dead.begin(), dead.end(), lane.get()) !=
+                 dead.end();
+        });
+    if (culled > 0) {
+      lane_view_.reset();
+      intra_lane_count_.fetch_sub(culled, std::memory_order_release);
     }
   }
-  snapshot.clear();  // drop the lane refs, keep the capacity
 
   if (!ctx.has_wire()) return;
   // Coalesced wake-up: back-to-back publishes share one loop task.  The
@@ -502,6 +485,7 @@ void Publication::OnMcastFallback(TransportLane* lane) {
       });
   if (it == mcast_lanes_.end()) return;  // concurrently closed or swept
   lanes_.push_back(std::move(*it));
+  lane_view_.reset();
   mcast_lanes_.erase(it);
   mcast_lane_count_.fetch_sub(1, std::memory_order_release);
 }
@@ -524,7 +508,7 @@ rsf::Status Publication::AddIntraLink(std::shared_ptr<IntraLinkBase> link) {
   // publish racing the connect can never deliver into a half-registered
   // link whose subscriber-side bookkeeping isn't ready to receive.
   std::lock_guard<std::mutex> lock(links_mutex_);
-  pending_intra_.push_back(MakeIntraLane(std::move(link), &counters_));
+  pending_intra_.push_back(MakeIntraLane(std::move(link)));
   return rsf::Status::Ok();
 }
 
@@ -539,6 +523,7 @@ void Publication::ActivateIntraLink(const IntraLinkBase* link) {
   // activation must not resurrect the lane into the fanout.
   if (it == pending_intra_.end()) return;
   lanes_.push_back(std::move(*it));
+  lane_view_.reset();
   pending_intra_.erase(it);
   intra_lane_count_.fetch_add(1, std::memory_order_release);
 }
@@ -550,6 +535,7 @@ void Publication::RemoveIntraLink(const IntraLinkBase* link) {
   };
   std::erase_if(pending_intra_, matches);
   const size_t removed = std::erase_if(lanes_, matches);
+  if (removed > 0) lane_view_.reset();
   intra_lane_count_.fetch_sub(removed, std::memory_order_release);
 }
 
@@ -623,6 +609,7 @@ void Publication::Shutdown() {
         std::lock_guard<std::mutex> lock(links_mutex_);
         pending.swap(pending_wire_);
         lanes.swap(lanes_);
+        lane_view_.reset();
         lanes.insert(lanes.end(),
                      std::make_move_iterator(mcast_lanes_.begin()),
                      std::make_move_iterator(mcast_lanes_.end()));

@@ -8,18 +8,26 @@
 // reactor pool; each established subscriber — in-process, plain TCP, or
 // shm-negotiated — is one TransportLane in a single array, and Publish is
 // exactly: finalize one PublishContext (wire frame + shm descriptor, each
-// encoded once for the whole fan-out), then `lane->Offer(ctx)` over a
-// snapshot.  No tier branches, no per-link maps, no per-publish
-// negotiation reads — adding a transport tier means adding a lane class,
-// not editing this file.  Total transport threads stay O(cores) regardless
-// of subscriber count (DESIGN.md §8).
+// encoded once for the whole fan-out), then `lane->Offer(ctx, &tally)`
+// over an immutable lane array.  No tier branches, no per-link maps, no
+// per-publish negotiation reads — adding a transport tier means adding a
+// lane class, not editing this file.  Total transport threads stay
+// O(cores) regardless of subscriber count (DESIGN.md §8).
 //
 // Publication is untyped: wire lanes move SerializedMessage units, and the
-// in-process fanout moves type-erased shared_ptr<const M> handles.  The
-// typed Publisher handle (node_handle.h) serializes / clones / borrows
-// messages into the PublishContext before handing it here.  Every lane
-// feeds the same enqueued/dropped counters, so SentCount() means
-// "deliveries that reached a live subscriber" regardless of tier.
+// in-process fanout moves a borrowed pointer to the publisher's typed
+// shared_ptr<const M>.  The typed Publisher handle (node_handle.h)
+// serializes / clones / borrows messages into the PublishContext before
+// handing it here.  Every lane feeds the same enqueued/dropped counters,
+// so SentCount() means "deliveries that reached a live subscriber"
+// regardless of tier.
+//
+// Threading (DESIGN.md §13.2): Publish may run on many threads at once.
+// Each takes links_mutex_ only to grab a reference on the immutable lane
+// array, then offers outside the lock, so an inline callback may publish,
+// subscribe or unsubscribe; a membership change shows from the next
+// publish on.  Outcomes fold into the counters after the loop: Stats()
+// read inside an inline callback misses the publish in progress.
 #pragma once
 
 #include <atomic>
@@ -62,6 +70,8 @@ struct PublicationStats {
 
 class Publication : public std::enable_shared_from_this<Publication> {
  public:
+  using LaneArray = std::vector<std::shared_ptr<TransportLane>>;
+
   /// Binds a listener on an ephemeral loopback port and starts accepting.
   /// `intra_capable` publishers (typed ones, i.e. NodeHandle::advertise)
   /// also register with the in-process registry so co-located subscribers
@@ -77,9 +87,9 @@ class Publication : public std::enable_shared_from_this<Publication> {
 
   /// Fans one publish across every established lane.  Finalizes the
   /// context's wire frame and (when a shm lane is live) its descriptor
-  /// frame EXACTLY ONCE, then offers the shared context to each lane — a
-  /// per-lane shared_ptr copy, never a per-lane encode
-  /// (shim::frame_builds / shim::descriptor_builds carry the proof).
+  /// frame EXACTLY ONCE, then offers the shared context to each lane —
+  /// never a per-lane encode (shim::frame_builds /
+  /// shim::descriptor_builds carry the proof).
   void Publish(PublishContext ctx);
 
   /// Untyped wire publish (bag replay, wire-level tests): fans the frame
@@ -173,10 +183,11 @@ class Publication : public std::enable_shared_from_this<Publication> {
   /// publication instead of re-probing every handshake.  Loop-thread-only.
   std::shared_ptr<McastGroupSender> EnsureMcastSender();
 
-  /// Offers a finalized context to a snapshot of all lanes, culling dead
+  /// Offers a finalized context to the current lane array, culling dead
   /// in-process lanes, stages ONE group burst for the whole mcast cohort
-  /// (O(1) on the publish thread regardless of cohort size), then kicks
-  /// the loop once for the wire lanes.
+  /// (O(1) on the publish thread regardless of cohort size), folds the
+  /// publish's tally into counters_, then kicks the loop once for the
+  /// wire lanes.
   void OfferToLanes(const PublishContext& ctx);
 
   /// Loop-thread liveness sweep over the mcast cohort after a flush kick:
@@ -209,11 +220,8 @@ class Publication : public std::enable_shared_from_this<Publication> {
   uint16_t port_ = 0;
   bool intra_registered_ = false;  // written once in Create, before Start
   std::atomic<bool> shutdown_{false};
-  LaneCounters counters_;  // lanes bump these directly
+  LaneCounters counters_;  // per-publish tallies fold in here
   std::atomic<uint64_t> shm_seq_{0};  // publish sequence for the pin ledger
-  /// Monotonic publish identity stamped into every context so the shared
-  /// mcast group sender can dedupe the fan-out's racing Offers.
-  std::atomic<uint64_t> publish_id_{0};
 
   // Lock-free lane census for the publish fast path (HasIntraLinks /
   // HasTcpLinks decide what the typed Publisher builds) and for skipping
@@ -249,7 +257,11 @@ class Publication : public std::enable_shared_from_this<Publication> {
   // ActivateIntraLink.
   std::vector<PendingWire> pending_wire_;
   std::vector<std::shared_ptr<TransportLane>> pending_intra_;
-  std::vector<std::shared_ptr<TransportLane>> lanes_;
+  LaneArray lanes_;
+  // Immutable publish view of lanes_ (copy-on-write): every lanes_ change
+  // resets it and the next publish rebuilds it — lazily, so N joins cost
+  // one O(N) copy, not O(N²).
+  std::shared_ptr<const LaneArray> lane_view_;
   // The mcast cohort, OUTSIDE the per-publish fan-out: Publish stages one
   // burst for all of them (and bulk-counts enqueued), so publish-call cost
   // is independent of how many subscribers share the group.  A lane moves
@@ -257,13 +269,8 @@ class Publication : public std::enable_shared_from_this<Publication> {
   // and is culled by SweepMcastLanes when it stops acking.
   std::vector<std::shared_ptr<TransportLane>> mcast_lanes_;
 
-  // Publish-path scratch, reused across publishes so a steady-state
-  // publish allocates nothing.  publish_scratch_ is guarded by
-  // scratch_mutex_ (try-lock: a reentrant or concurrent publish falls
-  // back to a local vector); kick_scratch_ is loop-confined.
-  std::mutex scratch_mutex_;
-  std::vector<std::shared_ptr<TransportLane>> publish_scratch_;
-  std::vector<std::shared_ptr<TransportLane>> kick_scratch_;
+  // Flush-kick scratch, reused across kicks.  Loop-confined.
+  LaneArray kick_scratch_;
 };
 
 }  // namespace ros

@@ -159,8 +159,8 @@ class Subscription final
       }
     }
     // Unhook from publications outside links_mutex_: RemoveIntraLink takes
-    // the publication's intra lock, which a concurrent DeliverIntra holds
-    // around nothing but its own snapshot — still, never nest ours in it.
+    // the publication's lane lock (a publish holds it only to take its
+    // lane array, never while delivering) — still, never nest ours in it.
     for (const auto& [link, publication] : intra) {
       if (auto pub = publication.lock()) pub->RemoveIntraLink(link.get());
     }
@@ -252,13 +252,13 @@ class Subscription final
           md5_(std::move(md5)),
           callerid_(std::move(callerid)) {}
 
-    bool Deliver(const std::shared_ptr<const void>& message,
-                 IntraTier tier) override {
+    bool Deliver(const void* message, IntraTier tier) override {
+      // The lock is what makes a delivery racing Shutdown safe.
       auto self = subscription_.lock();
       if (self == nullptr) return false;
       // The cast back to M is safe: AddIntraLink only accepted this link
       // after matching the negotiated transport checksum.
-      return self->DeliverIntra(std::static_pointer_cast<const M>(message),
+      return self->DeliverIntra(*static_cast<const MessagePtr*>(message),
                                 tier);
     }
 
@@ -625,7 +625,7 @@ class Subscription final
       return;
     }
     received_.fetch_add(1, std::memory_order_relaxed);
-    Dispatch(*std::move(msg));
+    Dispatch(*msg);
   }
 
   /// Drains the group socket: PeekHeader resolves each datagram's arena
@@ -775,7 +775,7 @@ class Subscription final
       }
     }
 
-    Dispatch(std::move(message));
+    Dispatch(message);
   }
 
   /// Runs on the link's loop thread (on_closed) — the link closed itself
@@ -790,23 +790,25 @@ class Subscription final
   }
 
   /// In-process delivery: called by the publication's fanout, on the
-  /// publisher's thread.  Returns false once shut down (the publication
-  /// culls the link).
-  bool DeliverIntra(MessagePtr msg, IntraTier tier) {
+  /// publisher's thread, with the publisher's own handle.  Returns false
+  /// once shut down (the publication culls the link).
+  bool DeliverIntra(const MessagePtr& msg, IntraTier tier) {
     if (shutdown_.load(std::memory_order_acquire)) return false;
     received_.fetch_add(1, std::memory_order_relaxed);
     (tier == IntraTier::kZeroCopy ? intra_zero_copy_ : intra_whole_copy_)
         .fetch_add(1, std::memory_order_relaxed);
-    Dispatch(std::move(msg));
+    Dispatch(msg);
     return true;
   }
 
-  void Dispatch(MessagePtr msg) {
+  /// Inline dispatch hands the caller's handle straight to the callback;
+  /// only the queued path takes a reference of its own.
+  void Dispatch(const MessagePtr& msg) {
     if (options_.inline_dispatch) {
       callback_(msg);
       return;
     }
-    pending_.Push(std::move(msg));
+    pending_.Push(msg);
     // Weak capture: the subscription owns queue_, so a shared self here
     // would cycle through any task left undrained at destruction.  A dead
     // subscription's queued dispatches just no-op (Shutdown discards

@@ -21,22 +21,19 @@ namespace {
 /// by returning false, which culls the lane.
 class IntraLane final : public TransportLane {
  public:
-  IntraLane(std::shared_ptr<IntraLinkBase> link, LaneCounters* counters)
-      : link_(std::move(link)), counters_(counters) {}
+  explicit IntraLane(std::shared_ptr<IntraLinkBase> link)
+      : link_(std::move(link)) {}
 
-  bool Offer(const PublishContext& ctx) override {
-    if (!ctx.has_intra) return true;
+  bool Offer(const PublishContext& ctx, LaneTally* tally) override {
+    if (!ctx.has_intra()) return true;
     // Same accounting as a wire frame: the attempt is enqueued; reaching a
     // dead link is a drop.  SentCount() then spans every tier.
-    counters_->enqueued.fetch_add(1, std::memory_order_relaxed);
+    ++tally->enqueued;
     if (!link_->Deliver(ctx.intra, ctx.intra_tier)) {
-      counters_->dropped.fetch_add(1, std::memory_order_relaxed);
+      ++tally->dropped;
       return false;
     }
-    counters_->intra_delivered.fetch_add(1, std::memory_order_relaxed);
-    (ctx.intra_tier == IntraTier::kZeroCopy ? counters_->intra_zero_copy
-                                            : counters_->intra_whole_copy)
-        .fetch_add(1, std::memory_order_relaxed);
+    ++tally->intra_delivered;
     return true;
   }
 
@@ -52,7 +49,6 @@ class IntraLane final : public TransportLane {
 
  private:
   const std::shared_ptr<IntraLinkBase> link_;
-  LaneCounters* const counters_;
 };
 
 /// Plain TCP delivery: the pre-built wire frame goes onto the link's
@@ -62,12 +58,10 @@ class TcpLane final : public TransportLane {
   TcpLane(std::shared_ptr<rsf::net::Link> link, LaneCounters* counters)
       : link_(std::move(link)), counters_(counters) {}
 
-  bool Offer(const PublishContext& ctx) override {
+  bool Offer(const PublishContext& ctx, LaneTally* tally) override {
     if (!ctx.has_wire()) return true;
-    counters_->enqueued.fetch_add(1, std::memory_order_relaxed);
-    if (link_->EnqueueFrame(ctx.wire)) {
-      counters_->dropped.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++tally->enqueued;
+    if (link_->EnqueueFrame(ctx.wire)) ++tally->dropped;
     return true;
   }
 
@@ -114,9 +108,9 @@ class ShmLane final : public TransportLane {
         slot_(slot),
         peer_pid_(peer_pid) {}
 
-  bool Offer(const PublishContext& ctx) override {
+  bool Offer(const PublishContext& ctx, LaneTally* tally) override {
     if (!ctx.has_wire()) return true;
-    counters_->enqueued.fetch_add(1, std::memory_order_relaxed);
+    ++tally->enqueued;
 
     bool via_descriptor = false;
     if (ctx.descriptor.valid()) {
@@ -129,7 +123,7 @@ class ShmLane final : public TransportLane {
         // descriptors into clean drops, counted here as real losses).
         while (ledger_.size() > max_pins_) {
           ledger_.pop_front();
-          counters_->dropped.fetch_add(1, std::memory_order_relaxed);
+          ++tally->dropped;
           shim::shm_pin_evictions.fetch_add(1, std::memory_order_relaxed);
         }
         via_descriptor = true;
@@ -138,9 +132,9 @@ class ShmLane final : public TransportLane {
 
     if (via_descriptor) {
       if (link_->EnqueueFrame(ctx.descriptor)) {
-        counters_->dropped.fetch_add(1, std::memory_order_relaxed);
+        ++tally->dropped;
       } else {
-        counters_->shm_descriptors.fetch_add(1, std::memory_order_relaxed);
+        ++tally->shm_descriptors;
         shim::shm_zero_copy_deliveries.fetch_add(1,
                                                  std::memory_order_relaxed);
       }
@@ -149,9 +143,9 @@ class ShmLane final : public TransportLane {
     // Inline fallback on a negotiated lane: heap-backed payload, tier
     // below threshold, or the subscriber left the tier.
     if (link_->EnqueueFrame(ctx.wire)) {
-      counters_->dropped.fetch_add(1, std::memory_order_relaxed);
+      ++tally->dropped;
     } else {
-      counters_->shm_inline.fetch_add(1, std::memory_order_relaxed);
+      ++tally->shm_inline;
       shim::shm_fallback_deliveries.fetch_add(1, std::memory_order_relaxed);
     }
     return true;
@@ -265,16 +259,14 @@ class McastLane final : public TransportLane {
         on_fallback_(std::move(on_fallback)),
         last_acked_(join_seq) {}
 
-  bool Offer(const PublishContext& ctx) override {
+  bool Offer(const PublishContext& ctx, LaneTally* tally) override {
     if (!ctx.has_wire()) return true;
     // Only reachable once the lane left the group (on_fallback moved it
     // into the per-publish fan-out); while grouped, the cohort's staged
     // burst covers this publish and its accounting.
     if (!tcp_fallback_.load(std::memory_order_acquire)) return true;
-    counters_->enqueued.fetch_add(1, std::memory_order_relaxed);
-    if (link_->EnqueueFrame(ctx.wire)) {
-      counters_->dropped.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++tally->enqueued;
+    if (link_->EnqueueFrame(ctx.wire)) ++tally->dropped;
     return true;
   }
 
@@ -456,8 +448,8 @@ LanePolicy::McastGrant LanePolicy::GrantMcastTier(
 }
 
 std::shared_ptr<TransportLane> MakeIntraLane(
-    std::shared_ptr<IntraLinkBase> link, LaneCounters* counters) {
-  return std::make_shared<IntraLane>(std::move(link), counters);
+    std::shared_ptr<IntraLinkBase> link) {
+  return std::make_shared<IntraLane>(std::move(link));
 }
 
 std::shared_ptr<TransportLane> MakeWireLane(

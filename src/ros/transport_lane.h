@@ -9,15 +9,20 @@
 //                    publish regardless of fan-out: the wire frame (shared
 //                    payload + raw tagged prefix), the pre-encoded 48-byte
 //                    shm descriptor frame, the pin-ledger sequence number,
-//                    and the typed in-process handle.  Lanes only read it.
+//                    and the borrowed typed in-process handle.  Lanes only
+//                    read it, and count outcomes into a per-publish
+//                    LaneTally that Publication folds in once.
 //
 //   TransportLane    one subscriber's delivery path.  Publish is a loop of
-//                    `lane->Offer(ctx)` over a snapshot — no tier branches,
+//                    `lane->Offer(ctx, &tally)` over an immutable lane
+//                    array (DESIGN.md §13.2) — no tier branches,
 //                    no per-publish map lookups, no per-link negotiation
 //                    reads.  Concrete lanes: IntraLane (typed pointer
 //                    hand-off), TcpLane (inline frames), ShmLane
 //                    (descriptor + pin ledger, inline fallback), and
-//                    McastLane (shared group-sender burst + NACK repair,
+//                    McastLane (NACK repair and leave-tier fallback for a
+//                    member of the topic's multicast cohort, whose group
+//                    burst Publication stages once per publish,
 //                    DESIGN.md §14) — exactly the "one more subclass plus
 //                    a LanePolicy row" the seam was cut for.
 //
@@ -52,7 +57,8 @@ class McastGroupSender;
 
 /// One publish, prepared once and shared by every lane the fan-out visits.
 /// The wire frame and descriptor frame alias shared buffers: offering the
-/// context to N lanes costs N shared_ptr copies, never N encodes.
+/// context to N lanes costs no encode and no refcount per lane — lanes
+/// that queue the frame take their own shared_ptr copy.
 struct PublishContext {
   /// Wire payload holder — the serialized (or arena-aliased) bytes, also
   /// the unit the shm pin ledger parks until the subscriber acks.
@@ -68,28 +74,33 @@ struct PublishContext {
   rsf::net::OutFrame descriptor;
   /// Pin-ledger sequence number stamped into `descriptor`.
   uint64_t seq = 0;
-  /// Monotonic publish identity: every McastLane in the fan-out offers the
-  /// same context, and the shared group sender dedupes on this so the
-  /// datagram burst goes out exactly once per publish (the O(chunks) not
-  /// O(subscribers) invariant).
-  uint64_t publish_id = 0;
 
-  /// Typed in-process handle (type-erased shared_ptr<const M>) and its
-  /// tier.  Absent for untyped publishes (bag replay) — intra lanes then
-  /// skip this context.
-  std::shared_ptr<const void> intra;
+  /// Typed in-process handle, borrowed: points at the publisher's
+  /// shared_ptr<const M> for the synchronous Publish call only.  Null for
+  /// untyped publishes (bag replay) — intra lanes then skip this context.
+  const void* intra = nullptr;
   IntraTier intra_tier = IntraTier::kWholeCopy;
-  bool has_intra = false;
 
   [[nodiscard]] bool has_wire() const noexcept { return payload.valid(); }
+  [[nodiscard]] bool has_intra() const noexcept { return intra != nullptr; }
   [[nodiscard]] bool empty() const noexcept {
-    return !has_wire() && !has_intra;
+    return !has_wire() && !has_intra();
   }
 };
 
-/// The publication's delivery counters, shared by every lane.  Lanes bump
-/// these directly so the Publish loop carries no per-tier accounting
-/// branches; Publication::Stats() reads them.  Relaxed telemetry.
+/// One publish's delivery outcomes, counted by the lanes with plain adds
+/// and folded into LaneCounters once after the fan-out loop.
+struct LaneTally {
+  uint64_t enqueued = 0;
+  uint64_t dropped = 0;
+  uint64_t intra_delivered = 0;  // tier split per publish, in Add
+  uint64_t shm_descriptors = 0;
+  uint64_t shm_inline = 0;
+};
+
+/// The publication's delivery counters: per-publish tallies fold in via
+/// Add; loop-thread events (close, repair misses, evictions) bump them
+/// directly.  Relaxed telemetry.
 struct LaneCounters {
   std::atomic<uint64_t> enqueued{0};
   std::atomic<uint64_t> dropped{0};
@@ -98,6 +109,20 @@ struct LaneCounters {
   std::atomic<uint64_t> intra_whole_copy{0};
   std::atomic<uint64_t> shm_descriptors{0};
   std::atomic<uint64_t> shm_inline{0};
+
+  /// Folds one publish's tally in; `tier` classifies its intra deliveries.
+  void Add(const LaneTally& tally, IntraTier tier) noexcept {
+    const auto add = [](std::atomic<uint64_t>& counter, uint64_t n) {
+      if (n > 0) counter.fetch_add(n, std::memory_order_relaxed);
+    };
+    add(enqueued, tally.enqueued);
+    add(dropped, tally.dropped);
+    add(intra_delivered, tally.intra_delivered);
+    add(tier == IntraTier::kZeroCopy ? intra_zero_copy : intra_whole_copy,
+        tally.intra_delivered);
+    add(shm_descriptors, tally.shm_descriptors);
+    add(shm_inline, tally.shm_inline);
+  }
 };
 
 enum class LaneKind : uint8_t { kIntra, kTcp, kShm, kMcast };
@@ -113,11 +138,12 @@ class TransportLane {
  public:
   virtual ~TransportLane() = default;
 
-  /// Offers one prepared publish to this lane.  Returns false when the
-  /// lane is dead and should be culled from the fan-out (in-process
-  /// subscriber gone); wire lanes always return true — their lifecycle is
-  /// driven by Link callbacks, not by publish outcomes.
-  virtual bool Offer(const PublishContext& ctx) = 0;
+  /// Offers one prepared publish to this lane, counting the outcome into
+  /// `tally`.  Returns false when the lane is dead and should be culled
+  /// from the fan-out (in-process subscriber gone); wire lanes always
+  /// return true — their lifecycle is driven by Link callbacks, not by
+  /// publish outcomes.
+  virtual bool Offer(const PublishContext& ctx, LaneTally* tally) = 0;
 
   /// A control frame arrived on this lane's link (`data` is the staged
   /// payload, FrameLength(raw) its size).  Loop-thread-only.
@@ -257,7 +283,7 @@ class LanePolicy {
 
 /// Builds the lane for one activated in-process link.
 std::shared_ptr<TransportLane> MakeIntraLane(
-    std::shared_ptr<IntraLinkBase> link, LaneCounters* counters);
+    std::shared_ptr<IntraLinkBase> link);
 
 /// A McastLane that leaves the tier (subscriber LEAVE frame) calls this
 /// with itself so its publication can move it from the group cohort into

@@ -3,8 +3,11 @@
 // mixed-lane fan-out (intra + TCP + shm subscribers on one topic, stats
 // reconciling across tiers), the serialize-once guarantee (shim counters
 // prove one frame build and one descriptor encode per publish at any
-// fan-out), and the shm pin ledger's drop-oldest accounting against a
-// stalled subscriber that never acks.
+// fan-out), the shm pin ledger's drop-oldest accounting against a
+// stalled subscriber that never acks, and the fan-out's membership rules:
+// culling, changes made from inside a publish, and concurrent publishers
+// against subscribe/unsubscribe churn, with the per-publish counter tally
+// reconciling exactly.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -375,9 +379,9 @@ TEST_F(TransportLaneTest, SerializeOnceAtWideFanout) {
 
 /// A subscriber callback publishing on its own topic (inline intra
 /// dispatch runs it on the publisher's thread, inside the fan-out loop):
-/// the reused publish scratch is held, so the reentrant publish must take
-/// the local-vector fallback instead of deadlocking or corrupting the
-/// snapshot.
+/// the outer publish holds a reference on the lane array, not the lock,
+/// so the reentrant publish must neither deadlock nor disturb the outer
+/// fan-out.
 TEST_F(TransportLaneTest, ReentrantPublishFromInlineCallback) {
   ros::NodeHandle node("reentrant");
   auto pub = node.advertise<Image>("/reentrant", 8);
@@ -491,6 +495,215 @@ TEST_F(TransportLaneTest, PinLedgerEvictionCountsAsDrops) {
   link->CloseSync();
   pub->Shutdown();
   ExpectNoLeakedBlocks();
+}
+
+// ---- fan-out membership and accounting ----
+
+/// A scripted in-process subscriber endpoint.  `Shutdown` makes Deliver
+/// refuse from then on — what a Subscription does when its shutdown races
+/// a publish — so the publish itself must count the drop and cull the lane.
+class ScriptedIntraLink final : public ros::IntraLinkBase {
+ public:
+  explicit ScriptedIntraLink(const Image* expected)
+      : md5_(ros::TransportChecksum<Image>()), expected_(expected) {}
+
+  bool Deliver(const void* message, ros::IntraTier) override {
+    if (!alive_.load()) return false;
+    const auto& handle = *static_cast<const Image::ConstPtr*>(message);
+    if (handle.get() == expected_) delivered_.fetch_add(1);
+    return true;
+  }
+  [[nodiscard]] bool alive() const noexcept override { return alive_.load(); }
+  [[nodiscard]] const std::string& transport_md5() const noexcept override {
+    return md5_;
+  }
+  [[nodiscard]] const std::string& callerid() const noexcept override {
+    return md5_;
+  }
+
+  void Shutdown() { alive_.store(false); }
+  [[nodiscard]] uint64_t delivered() const { return delivered_.load(); }
+
+ private:
+  const std::string md5_;
+  const Image* const expected_;
+  std::atomic<bool> alive_{true};
+  std::atomic<uint64_t> delivered_{0};
+};
+
+/// A 64-way in-process fan-out where one subscriber shuts down between
+/// publishes: the next publish counts its refused delivery as a drop and
+/// culls the lane, later publishes skip it, and the batched counters
+/// reconcile exactly (enqueued == intra_delivered + dropped).
+TEST_F(TransportLaneTest, SubscriberShutdownBetweenPublishesIsCulled) {
+  constexpr size_t kLinks = 64;
+  constexpr size_t kVictim = 10;
+  auto publication = ros::Publication::Create(
+      "/cull_fanout", Image::DataType(), ros::TransportChecksum<Image>(),
+      "cull_pub", 8, /*intra_capable=*/false);
+  ASSERT_TRUE(publication.ok());
+  auto pub = *publication;
+
+  const Image::ConstPtr message = Image::create();
+  std::vector<std::shared_ptr<ScriptedIntraLink>> links;
+  for (size_t i = 0; i < kLinks; ++i) {
+    links.push_back(std::make_shared<ScriptedIntraLink>(message.get()));
+    ASSERT_TRUE(pub->AddIntraLink(links.back()).ok());
+    pub->ActivateIntraLink(links.back().get());
+  }
+  ASSERT_EQ(pub->Stats().intra_links, kLinks);
+
+  const auto publish = [&] {
+    ros::PublishContext ctx;
+    ctx.intra = &message;
+    ctx.intra_tier = ros::IntraTier::kZeroCopy;
+    pub->Publish(std::move(ctx));
+  };
+  publish();
+  links[kVictim]->Shutdown();
+  publish();  // the victim refuses: one drop, lane culled
+  EXPECT_EQ(pub->Stats().intra_links, kLinks - 1);
+  EXPECT_EQ(pub->NumSubscribers(), kLinks - 1);
+  publish();  // culled: not even offered
+
+  for (size_t i = 0; i < kLinks; ++i) {
+    EXPECT_EQ(links[i]->delivered(), i == kVictim ? 1u : 3u) << "link " << i;
+  }
+  const auto stats = pub->Stats();
+  EXPECT_EQ(stats.enqueued, 2 * kLinks + (kLinks - 1));
+  EXPECT_EQ(stats.dropped, 1u);
+  EXPECT_EQ(stats.intra_delivered, 3 * kLinks - 2);
+  EXPECT_EQ(stats.intra_zero_copy, stats.intra_delivered);
+  EXPECT_EQ(stats.intra_whole_copy, 0u);
+  EXPECT_EQ(stats.enqueued, stats.intra_delivered + stats.dropped);
+  pub->Shutdown();
+}
+
+/// An inline callback that subscribes a new subscriber during one
+/// publish and unsubscribes an old one during the next: each publish
+/// delivers to exactly the lanes it started with, and the publish after
+/// it sees the new membership.
+TEST_F(TransportLaneTest, MembershipChangeInsidePublishShowsNextPublish) {
+  ros::NodeHandle node("churn_inline");
+  auto pub = node.advertise<Image>("/churn_inline", 8);
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+
+  std::atomic<int> first{0};
+  std::atomic<int> middle{0};
+  std::atomic<int> last{0};
+  std::atomic<int> joined{0};
+  const auto counter = [](std::atomic<int>* count) {
+    return std::function<void(const Image::ConstPtr&)>(
+        [count](const Image::ConstPtr&) { count->fetch_add(1); });
+  };
+  // Lanes are offered in activation order: first, middle, last.
+  ros::Subscriber first_sub =
+      node.subscribe<Image>("/churn_inline", 8, counter(&first), options);
+  ros::Subscriber joined_sub;
+  ros::Subscriber middle_sub = node.subscribe<Image>(
+      "/churn_inline", 8,
+      std::function<void(const Image::ConstPtr&)>(
+          [&](const Image::ConstPtr&) {
+            const int seen = middle.fetch_add(1);
+            if (seen == 0) {
+              joined_sub = node.subscribe<Image>("/churn_inline", 8,
+                                                 counter(&joined), options);
+            } else if (seen == 1) {
+              first_sub.shutdown();  // already delivered to this publish
+            }
+          }),
+      options);
+  ros::Subscriber last_sub =
+      node.subscribe<Image>("/churn_inline", 8, counter(&last), options);
+  ASSERT_EQ(pub.getStats().intra_links, 3u);
+
+  const auto expect_counts = [&](int f, int m, int l, int j) {
+    EXPECT_EQ(first.load(), f);
+    EXPECT_EQ(middle.load(), m);
+    EXPECT_EQ(last.load(), l);
+    EXPECT_EQ(joined.load(), j);
+  };
+  pub.publish(Image::ConstPtr(Image::create()));  // middle subscribes
+  expect_counts(1, 1, 1, 0);
+  EXPECT_EQ(pub.getStats().enqueued, 3u);
+  EXPECT_EQ(pub.getStats().intra_links, 4u);
+
+  pub.publish(Image::ConstPtr(Image::create()));  // middle unsubscribes first
+  expect_counts(2, 2, 2, 1);
+  EXPECT_EQ(pub.getStats().enqueued, 7u);
+  EXPECT_EQ(pub.getStats().intra_links, 3u);
+
+  pub.publish(Image::ConstPtr(Image::create()));
+  expect_counts(2, 3, 3, 2);
+  const auto stats = pub.getStats();
+  EXPECT_EQ(stats.enqueued, 10u);
+  EXPECT_EQ(stats.intra_delivered, 10u);
+  EXPECT_EQ(stats.dropped, 0u);
+}
+
+/// Four publisher threads against continuous subscribe/unsubscribe churn:
+/// subscribers present throughout see every publish exactly once, and
+/// every delivery the publisher counted reached exactly one callback.
+/// Runs under TSan in CI (the suite is in the tsan regexes).
+TEST_F(TransportLaneTest, ConcurrentPublishersAgainstSubscribeChurn) {
+  constexpr int kPublishers = 4;
+  constexpr int kPerPublisher = 1000;
+  constexpr int kSteady = 8;
+
+  ros::NodeHandle node("churn_threads");
+  auto pub = node.advertise<Image>("/churn_threads", 8);
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+
+  // The callback count of every subscriber ever made; the counters are
+  // shared with the callbacks, so they outlive the transient handles.
+  std::vector<std::shared_ptr<std::atomic<uint64_t>>> counts;
+  const auto subscribe = [&] {
+    auto count = std::make_shared<std::atomic<uint64_t>>(0);
+    counts.push_back(count);
+    return node.subscribe<Image>(
+        "/churn_threads", 8,
+        std::function<void(const Image::ConstPtr&)>(
+            [count](const Image::ConstPtr&) { count->fetch_add(1); }),
+        options);
+  };
+  std::vector<ros::Subscriber> steady;
+  for (int i = 0; i < kSteady; ++i) steady.push_back(subscribe());
+  ASSERT_EQ(pub.getStats().intra_links, static_cast<size_t>(kSteady));
+
+  std::atomic<int> running{kPublishers};
+  std::vector<std::thread> publishers;
+  for (int t = 0; t < kPublishers; ++t) {
+    publishers.emplace_back([&] {
+      for (int i = 0; i < kPerPublisher; ++i) {
+        pub.publish(Image::ConstPtr(Image::create()));
+      }
+      running.fetch_sub(1);
+    });
+  }
+  int churned = 0;
+  while (running.load() > 0) {
+    ros::Subscriber transient = subscribe();
+    std::this_thread::yield();
+    transient.shutdown();
+    ++churned;
+  }
+  for (auto& thread : publishers) thread.join();
+
+  for (int i = 0; i < kSteady; ++i) {
+    EXPECT_EQ(counts[i]->load(),
+              static_cast<uint64_t>(kPublishers * kPerPublisher))
+        << "steady subscriber " << i;
+  }
+  uint64_t callbacks = 0;
+  for (const auto& count : counts) callbacks += count->load();
+  const auto stats = pub.getStats();
+  EXPECT_EQ(stats.intra_delivered, callbacks);
+  EXPECT_EQ(stats.intra_zero_copy, callbacks);
+  EXPECT_EQ(stats.enqueued, stats.intra_delivered + stats.dropped);
+  EXPECT_EQ(stats.intra_links, static_cast<size_t>(kSteady));
+  EXPECT_GT(churned, 0);
 }
 
 }  // namespace
