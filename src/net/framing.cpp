@@ -1,20 +1,15 @@
 #include "net/framing.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/endian.h"
 
 namespace rsf::net {
 
-// Both writers gather the length prefix and the payload spans into one
-// WritevAll call, so a frame normally costs a single sendmsg syscall (the
-// kernel splits it only when the socket buffer fills).  The seed paid two
-// write syscalls per message — a measurable per-message tax at high rates.
+// WriteFrame gathers the length prefix and the payload into one WritevAll
+// call, so a frame normally costs a single sendmsg syscall (the kernel
+// splits it only when the socket buffer fills).  The seed paid two write
+// syscalls per message — a measurable per-message tax at high rates.
 
 Status WriteFrame(TcpConnection& conn, std::span<const uint8_t> payload) {
   uint8_t header[4];
@@ -24,18 +19,6 @@ Status WriteFrame(TcpConnection& conn, std::span<const uint8_t> payload) {
       {const_cast<uint8_t*>(payload.data()), payload.size()},
   };
   return conn.WritevAll(std::span<const iovec>(iov, payload.empty() ? 1 : 2));
-}
-
-Status WriteFrameScattered(TcpConnection& conn, std::span<const uint8_t> head,
-                           std::span<const uint8_t> body) {
-  uint8_t header[4];
-  StoreLE<uint32_t>(header, static_cast<uint32_t>(head.size() + body.size()));
-  const iovec iov[3] = {
-      {header, sizeof(header)},
-      {const_cast<uint8_t*>(head.data()), head.size()},
-      {const_cast<uint8_t*>(body.data()), body.size()},
-  };
-  return conn.WritevAll(iov);
 }
 
 Status ReadFrame(TcpConnection& conn, const FrameAllocator& alloc,
@@ -153,125 +136,66 @@ bool FrameWriter::Enqueue(std::shared_ptr<const uint8_t[]> payload,
   return evicted;
 }
 
-size_t SendBatchMaxFrames() noexcept {
-  if (const char* env = std::getenv("RSF_SEND_BATCH_MAX")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != env && parsed > 0) {
-      return std::max<size_t>(static_cast<size_t>(parsed), kGatherFramesMin);
-    }
-  }
-  return 64;
-}
-
 void FrameWriter::AdaptGatherBudget() noexcept {
   // Deep queue: the socket is the bottleneck, so amortize the syscall over
   // more frames.  Shallow queue: shrink back so the common one-or-two-frame
   // flush never walks an oversized iovec array.
   if (pending_.size() > gather_budget_) {
-    gather_budget_ = std::min(gather_budget_ * 2, SendBatchMaxFrames());
+    gather_budget_ = std::min(gather_budget_ * 2, kGatherFramesMax);
   } else if (gather_budget_ > kGatherFramesMin &&
              pending_.size() <= gather_budget_ / 4) {
     gather_budget_ = std::max(gather_budget_ / 2, kGatherFramesMin);
   }
 }
 
-Status FrameWriter::FlushZeroCopyPayload(TcpConnection& conn, bool* blocked) {
-  // Front frame's header already left via the copy path; send the payload
-  // remainder pinned.  Each send that leaves bytes consumes one kernel
-  // notification id and retains the payload holder until that id completes.
-  PendingFrame& front = pending_.front();
-  const size_t payload_off = front.offset - sizeof(front.header);
-  const iovec iov = {const_cast<uint8_t*>(front.payload.get()) + payload_off,
-                     front.size - payload_off};
-  auto result =
-      conn.SendSome(std::span<const iovec>(&iov, 1), MSG_ZEROCOPY);
-  if (result.error == 0 && result.bytes > 0) {
-    in_flight_.push_back({next_zerocopy_id_++, front.payload});
-  } else if (result.error == ENOBUFS) {
-    // Transient optmem pressure (the pinned-page accounting budget is
-    // full): this one send copies, the tier stays on.
-    result = conn.SendSome(std::span<const iovec>(&iov, 1), 0);
-  } else if (result.error == EINVAL || result.error == EOPNOTSUPP) {
-    // The socket/route cannot do MSG_ZEROCOPY at all: copy from now on.
-    zerocopy_active_ = false;
-    result = conn.SendSome(std::span<const iovec>(&iov, 1), 0);
+std::span<const iovec> FrameWriter::Gather(std::deque<PendingFrame>& frames,
+                                           size_t count) {
+  iov_.clear();
+  for (size_t i = 0; i < count; ++i) {
+    PendingFrame& frame = frames[i];
+    size_t skip = frame.offset;  // only ever non-zero for i == 0
+    if (skip < sizeof(frame.header)) {
+      iov_.push_back({frame.header + skip, sizeof(frame.header) - skip});
+      skip = 0;
+    } else {
+      skip -= sizeof(frame.header);
+    }
+    if (frame.size > skip) {
+      iov_.push_back({const_cast<uint8_t*>(frame.payload.get()) + skip,
+                      frame.size - skip});
+    }
   }
-  if (result.error != 0) {
-    return UnavailableError(std::string("sendmsg: ") +
-                            std::strerror(result.error));
+  return {iov_.data(), iov_.size()};
+}
+
+void FrameWriter::Advance(std::deque<PendingFrame>& frames,
+                          size_t bytes) noexcept {
+  bytes_written_ += bytes;
+  while (bytes > 0 && !frames.empty()) {
+    PendingFrame& front = frames.front();
+    const size_t wire = sizeof(front.header) + front.size;
+    const size_t take = std::min(bytes, wire - front.offset);
+    front.offset += take;
+    bytes -= take;
+    if (front.offset == wire) {
+      frames.pop_front();
+      ++frames_written_;
+    }
   }
-  if (result.bytes == 0) {
-    *blocked = true;  // socket buffer full: resume on writability
-    return Status::Ok();
-  }
-  bytes_written_ += result.bytes;
-  front.offset += result.bytes;
-  if (front.offset == sizeof(front.header) + front.size) {
-    ++zerocopy_frames_;
-    pending_.pop_front();
-    ++frames_written_;
-  }
-  return Status::Ok();
 }
 
 Status FrameWriter::Flush(TcpConnection& conn) {
   // Gather up to the adaptive budget of queued frames (header + payload
   // each) into one sendmsg; resume mid-frame via the front frame's offset.
-  // Zerocopy-eligible frames contribute only their header to the gather —
-  // the header bytes live in the deque node, whose storage recycles on pop,
-  // so they must be copied — and their payload follows as a dedicated
-  // MSG_ZEROCOPY send once the header is on the wire.
+  // Every frame contributes at least its unsent header or payload bytes,
+  // so the gather is never empty while frames remain.
   AdaptGatherBudget();
   while (!pending_.empty()) {
-    if (ZeroCopyEligible(pending_.front()) &&
-        pending_.front().offset >= sizeof(PendingFrame::header)) {
-      bool blocked = false;
-      RSF_RETURN_IF_ERROR(FlushZeroCopyPayload(conn, &blocked));
-      if (blocked) return Status::Ok();
-      continue;
-    }
-    iov_.clear();
-    const size_t frames = std::min(pending_.size(), gather_budget_);
-    for (size_t i = 0; i < frames; ++i) {
-      PendingFrame& frame = pending_[i];
-      const bool zerocopy = ZeroCopyEligible(frame);
-      size_t skip = frame.offset;  // only ever non-zero for i == 0
-      if (skip < sizeof(frame.header)) {
-        iov_.push_back(
-            {frame.header + skip, sizeof(frame.header) - skip});
-        skip = 0;
-      } else {
-        skip -= sizeof(frame.header);
-      }
-      if (!zerocopy && frame.size > skip) {
-        iov_.push_back({const_cast<uint8_t*>(frame.payload.get()) + skip,
-                        frame.size - skip});
-      }
-      if (zerocopy) break;  // its payload goes out pinned next iteration
-    }
-    if (iov_.empty()) {  // fully written frames (size-0 payloads) linger?
-      pending_.pop_front();
-      ++frames_written_;
-      continue;
-    }
-    auto written =
-        conn.WriteSome(std::span<const iovec>(iov_.data(), iov_.size()));
+    auto written = conn.WriteSome(
+        Gather(pending_, std::min(pending_.size(), gather_budget_)));
     if (!written.ok()) return written.status();
     if (*written == 0) return Status::Ok();  // socket full: resume later
-    bytes_written_ += *written;
-    size_t remaining = *written;
-    while (remaining > 0 && !pending_.empty()) {
-      PendingFrame& front = pending_.front();
-      const size_t wire = sizeof(front.header) + front.size;
-      const size_t take = std::min(remaining, wire - front.offset);
-      front.offset += take;
-      remaining -= take;
-      if (front.offset == wire) {
-        pending_.pop_front();
-        ++frames_written_;
-      }
-    }
+    Advance(pending_, *written);
   }
   return Status::Ok();
 }
@@ -317,107 +241,18 @@ Result<FrameReader::Step> FrameReader::Commit(size_t n,
   return Step::kFrame;
 }
 
-FrameWriter::StagedSend FrameWriter::StageSubmission() {
+std::span<const iovec> FrameWriter::StageSubmission() {
   if (staged_.empty()) {
     AdaptGatherBudget();
     // Move frames out of the queue for the flight: deque erasure
     // (eviction) invalidates references, and the kernel will be reading
     // these header bytes asynchronously.
     while (!pending_.empty() && staged_.size() < gather_budget_) {
-      const bool zerocopy = ZeroCopyEligible(pending_.front());
       staged_.push_back(std::move(pending_.front()));
       pending_.pop_front();
-      // A zerocopy frame closes the batch: its header joins the gather,
-      // its payload goes out alone as SEND_ZC once the header is on the
-      // wire.
-      if (zerocopy) break;
     }
   }
-  StagedSend out;
-  if (staged_.empty()) return out;
-  PendingFrame& front = staged_.front();
-  if (ZeroCopyEligible(front) && !force_copy_front_ &&
-      front.offset >= sizeof(front.header)) {
-    const size_t payload_off = front.offset - sizeof(front.header);
-    out.zc_data = front.payload.get() + payload_off;
-    out.zc_len = front.size - payload_off;
-    out.zc_holder = front.payload;
-    return out;
-  }
-  iov_.clear();
-  for (size_t i = 0; i < staged_.size(); ++i) {
-    PendingFrame& frame = staged_[i];
-    const bool zerocopy =
-        ZeroCopyEligible(frame) && !(i == 0 && force_copy_front_);
-    size_t skip = frame.offset;  // only ever non-zero for i == 0
-    if (skip < sizeof(frame.header)) {
-      iov_.push_back({frame.header + skip, sizeof(frame.header) - skip});
-      skip = 0;
-    } else {
-      skip -= sizeof(frame.header);
-    }
-    if (!zerocopy && frame.size > skip) {
-      iov_.push_back({const_cast<uint8_t*>(frame.payload.get()) + skip,
-                      frame.size - skip});
-    }
-    if (zerocopy) break;  // its payload goes out pinned next submission
-  }
-  out.iov = std::span<const iovec>(iov_.data(), iov_.size());
-  return out;
-}
-
-void FrameWriter::CommitStaged(size_t bytes, bool zerocopy) noexcept {
-  bytes_written_ += bytes;
-  size_t remaining = bytes;
-  while (remaining > 0 && !staged_.empty()) {
-    PendingFrame& front = staged_.front();
-    const size_t wire = sizeof(front.header) + front.size;
-    const size_t take = std::min(remaining, wire - front.offset);
-    front.offset += take;
-    remaining -= take;
-    if (front.offset == wire) {
-      if (zerocopy) ++zerocopy_frames_;
-      staged_.pop_front();
-      force_copy_front_ = false;  // consumed with the frame it degraded
-      ++frames_written_;
-    }
-  }
-}
-
-void FrameWriter::NoteZeroCopyReleased(bool copied) noexcept {
-  if (zc_outstanding_ > 0) --zc_outstanding_;
-  if (copied) {
-    ++copied_completions_;
-    if (zerocopy_copied_limit_ > 0 &&
-        copied_completions_ >= zerocopy_copied_limit_ && zerocopy_active_) {
-      // Same verdict as the errqueue path: the route copies anyway, so
-      // stop paying notification bookkeeping for it.
-      zerocopy_active_ = false;
-    }
-  }
-}
-
-size_t FrameWriter::CompleteZeroCopy(uint32_t lo, uint32_t hi,
-                                     bool copied) noexcept {
-  // Notification ids are sequential and complete in order, so the range
-  // [lo, hi] always covers a prefix of the in-flight queue.  The wrap-safe
-  // comparison keeps this correct past 2^32 sends.
-  size_t released = 0;
-  while (!in_flight_.empty() &&
-         static_cast<int32_t>(hi - in_flight_.front().id) >= 0) {
-    in_flight_.pop_front();
-    ++released;
-  }
-  if (copied) {
-    copied_completions_ += static_cast<uint64_t>(hi - lo) + 1;
-    if (zerocopy_copied_limit_ > 0 &&
-        copied_completions_ >= zerocopy_copied_limit_ && zerocopy_active_) {
-      // The route copies anyway (loopback always does): pinning buys
-      // nothing but completion bookkeeping, so stop paying for it.
-      zerocopy_active_ = false;
-    }
-  }
-  return released;
+  return Gather(staged_, staged_.size());
 }
 
 }  // namespace rsf::net

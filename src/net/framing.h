@@ -56,12 +56,6 @@ constexpr uint32_t TaggedLength(uint32_t tag, uint32_t length) noexcept {
 /// single writev-style syscall (TcpConnection::WritevAll).
 Status WriteFrame(TcpConnection& conn, std::span<const uint8_t> payload);
 
-/// Writes one frame whose payload is split across two spans (used to send a
-/// small header followed by a large zero-copy body without concatenating).
-/// Prefix + head + body go out in one gathered syscall.
-Status WriteFrameScattered(TcpConnection& conn, std::span<const uint8_t> head,
-                           std::span<const uint8_t> body);
-
 /// Allocator: given the raw length-prefix value (FrameLength() of it is the
 /// payload byte count; FrameTag() the frame tag), returns the destination
 /// buffer.  Returning nullptr aborts the read with kResourceExhausted.
@@ -130,15 +124,11 @@ class FrameReader {
 
 /// The floor and ceiling of the adaptive per-sendmsg gather budget.  The
 /// writer starts gathering kGatherFramesMin frames per syscall and doubles
-/// toward SendBatchMaxFrames() while the queue stays deeper than the
-/// budget, halving back once it drains — small-message floods amortize the
+/// toward kGatherFramesMax while the queue stays deeper than the budget,
+/// halving back once it drains — small-message floods amortize the
 /// syscall without penalizing shallow queues with oversized iovec walks.
 inline constexpr size_t kGatherFramesMin = 8;
-
-/// Ceiling for the adaptive gather budget (RSF_SEND_BATCH_MAX env,
-/// default 64; values below kGatherFramesMin clamp up).  Re-read on every
-/// call so benches can sweep it between runs.
-size_t SendBatchMaxFrames() noexcept;
+inline constexpr size_t kGatherFramesMax = 64;
 
 /// Outgoing frame queue + resumable gathered writer for nonblocking
 /// connections (the reactor's send path).  Keeps the one-sendmsg-per-burst
@@ -148,19 +138,10 @@ size_t SendBatchMaxFrames() noexcept;
 /// thread-safe — confine to one loop thread (callers lock around it when a
 /// producer thread enqueues).
 ///
-/// Zerocopy tier: after EnableZeroCopy(), frames whose payload is at least
-/// the threshold leave via MSG_ZEROCOPY — the kernel pins the payload
-/// pages instead of copying them, and the frame's shared payload holder is
-/// retained in an in-flight queue until the matching completion arrives on
-/// the socket error queue (the caller routes EPOLLERR to
-/// CompleteZeroCopy).  Only the payload is pinned: the 4-byte length
-/// prefix lives inside the queue node, whose storage is recycled the
-/// moment the frame pops, so headers always travel the copy path
-/// (gathered with any preceding small frames).  ENOBUFS on a pinned send
-/// is transient optmem pressure — that one send falls back to a copy and
-/// the tier stays on; EINVAL/EOPNOTSUPP and repeated
-/// SO_EE_CODE_ZEROCOPY_COPIED completions (loopback) disable the tier for
-/// the connection's lifetime.
+/// Every payload crosses into the kernel by an ordinary copying sendmsg
+/// (or IORING_OP_SENDMSG): the one kernel copy is by design, see
+/// DESIGN.md §9.  The user-space side stays copy-free — the queue holds
+/// the shared payload holder, never a copy of its bytes.
 class FrameWriter {
  public:
   /// Queues one frame (shared payload: fan-out costs no copy).  `size` is
@@ -183,71 +164,19 @@ class FrameWriter {
 
   // ---- completion-mode interface (submission backends) ----
   // The writer stages a batch of frames out of the queue, the link
-  // submits it as one SQE (SENDMSG for the gathered copy path, SEND_ZC
-  // for a pinned payload), and the completed byte count comes back
-  // through CommitStaged.  Staged frames live in their own deque so their
-  // header bytes and iovec array stay at stable addresses while the
+  // submits it as one SENDMSG SQE, and the completed byte count comes
+  // back through CommitStaged.  Staged frames live in their own deque so
+  // their header bytes and iovec array stay at stable addresses while the
   // kernel reads them — Enqueue/eviction never touches them.
 
-  /// One staged submission: either a gathered iovec batch (headers +
-  /// copy-path payloads) or a single pinned payload for SEND_ZC.
-  struct StagedSend {
-    std::span<const iovec> iov;         // empty when zc_data is set
-    const uint8_t* zc_data = nullptr;   // pinned payload remainder
-    size_t zc_len = 0;
-    std::shared_ptr<const uint8_t[]> zc_holder;  // keep alive until NOTIF
-    [[nodiscard]] bool empty() const noexcept {
-      return iov.empty() && zc_data == nullptr;
-    }
-  };
-
-  /// Stages the next submission.  Pulls up to the adaptive gather budget
-  /// of frames from the queue (stopping after the first zerocopy-eligible
-  /// frame, whose payload must travel alone), or resumes the batch already
-  /// staged.  The returned spans stay valid until CommitStaged.  Empty
-  /// when nothing is queued.
-  StagedSend StageSubmission();
+  /// Stages the next submission: pulls up to the adaptive gather budget
+  /// of frames from the queue, or resumes the batch already staged (a
+  /// short send restages its remainder).  The returned iovecs stay valid
+  /// until CommitStaged.  Empty when nothing is queued.
+  std::span<const iovec> StageSubmission();
 
   /// Accounts `bytes` of completed staged send; completed frames pop.
-  /// `zerocopy` marks a SEND_ZC data completion (counts ZeroCopyFrames).
-  void CommitStaged(size_t bytes, bool zerocopy) noexcept;
-
-  /// Degrades the staged front frame to the copy path for its next
-  /// submission (SEND_ZC came back ENOBUFS — transient pinned-page
-  /// pressure; the tier stays on for later frames).
-  void ForceCopyStagedFront() noexcept { force_copy_front_ = true; }
-
-  /// Tracks SEND_ZC submissions awaiting their notification CQE.  The
-  /// holders themselves are captured in the backend's completion entry;
-  /// these counters keep InFlightHolders() meaningful for tests and feed
-  /// the copied-completion auto-disable shared with the errqueue path.
-  void NoteZeroCopySubmitted() noexcept { ++zc_outstanding_; }
-  void NoteZeroCopyReleased(bool copied) noexcept;
-
-  /// Activates the zerocopy tier (caller has already set SO_ZEROCOPY on
-  /// the connection).  `threshold` of 0 keeps the tier off; `copied_limit`
-  /// of 0 never auto-disables.
-  void EnableZeroCopy(size_t threshold, uint64_t copied_limit) noexcept {
-    zerocopy_threshold_ = threshold;
-    zerocopy_copied_limit_ = copied_limit;
-    zerocopy_active_ = threshold > 0;
-  }
-
-  /// Releases the pinned payload holders for the completed notification-id
-  /// range [lo, hi] (TcpConnection::ZeroCopyCompletion).  Ids complete in
-  /// order, so this pops from the front of the in-flight queue.  A copied
-  /// completion counts toward the auto-disable limit: once reached the
-  /// tier turns off — the route (loopback) copies anyway, so pinning only
-  /// buys completion overhead.  Returns the number of holders released.
-  size_t CompleteZeroCopy(uint32_t lo, uint32_t hi, bool copied) noexcept;
-
-  /// Drops every pinned holder (link teardown).  Safe before completions
-  /// arrive: the kernel holds its own page references for in-flight skbs,
-  /// the holders only gate user-space reuse of the buffer.
-  void ReleaseInFlight() noexcept {
-    in_flight_.clear();
-    zc_outstanding_ = 0;
-  }
+  void CommitStaged(size_t bytes) noexcept { Advance(staged_, bytes); }
 
   [[nodiscard]] bool HasPending() const noexcept {
     return !pending_.empty() || !staged_.empty();
@@ -258,27 +187,11 @@ class FrameWriter {
   [[nodiscard]] uint64_t FramesWritten() const noexcept {
     return frames_written_;
   }
-  /// Total bytes the kernel has accepted (copy + zerocopy).  The link's
-  /// write-progress deadline snapshots this to tell a slow-but-moving peer
-  /// from a stalled one.
+  /// Total bytes the kernel has accepted.  The link's write-progress
+  /// deadline snapshots this to tell a slow-but-moving peer from a
+  /// stalled one.
   [[nodiscard]] uint64_t BytesWritten() const noexcept {
     return bytes_written_;
-  }
-  [[nodiscard]] bool ZeroCopyActive() const noexcept {
-    return zerocopy_active_;
-  }
-  /// Holders pinned awaiting kernel completions (tests assert lifetime).
-  /// Covers both tiers: errqueue-tracked MSG_ZEROCOPY sends and SEND_ZC
-  /// submissions awaiting notification.
-  [[nodiscard]] size_t InFlightHolders() const noexcept {
-    return in_flight_.size() + zc_outstanding_;
-  }
-  /// Frames whose payload completed through the zerocopy tier.
-  [[nodiscard]] uint64_t ZeroCopyFrames() const noexcept {
-    return zerocopy_frames_;
-  }
-  [[nodiscard]] uint64_t CopiedCompletions() const noexcept {
-    return copied_completions_;
   }
   /// Current adaptive gather budget (tests observe growth/decay).
   [[nodiscard]] size_t GatherBudget() const noexcept { return gather_budget_; }
@@ -291,37 +204,21 @@ class FrameWriter {
     size_t offset = 0;  // bytes of (header + payload) already written
   };
 
-  /// One zerocopy send that left bytes: the sequential notification id the
-  /// kernel assigned it, plus the payload holder it pinned.  A large frame
-  /// that needed several sends appears once per send — same holder, rising
-  /// ids — and the buffer frees only when the last entry releases.
-  struct InFlightSend {
-    uint32_t id = 0;
-    std::shared_ptr<const uint8_t[]> holder;
-  };
-
-  [[nodiscard]] bool ZeroCopyEligible(const PendingFrame& frame)
-      const noexcept {
-    return zerocopy_active_ && frame.size >= zerocopy_threshold_;
-  }
-  Status FlushZeroCopyPayload(TcpConnection& conn, bool* blocked);
+  /// Builds the header + payload iovec list of the first `count` frames
+  /// into iov_, resuming the front frame at its offset.
+  std::span<const iovec> Gather(std::deque<PendingFrame>& frames,
+                                size_t count);
+  /// Credits `bytes` the kernel accepted to the front of `frames`,
+  /// popping every frame that completed.
+  void Advance(std::deque<PendingFrame>& frames, size_t bytes) noexcept;
   void AdaptGatherBudget() noexcept;
 
   std::deque<PendingFrame> pending_;
   std::deque<PendingFrame> staged_;  // completion-mode: frames in flight
-  std::deque<InFlightSend> in_flight_;
-  size_t zc_outstanding_ = 0;    // SEND_ZC notifications pending
-  bool force_copy_front_ = false;
   std::vector<iovec> iov_;  // reused gather scratch (grows with the budget)
   uint64_t frames_written_ = 0;
   uint64_t bytes_written_ = 0;
-  uint64_t zerocopy_frames_ = 0;
-  uint64_t copied_completions_ = 0;
-  uint64_t zerocopy_copied_limit_ = 0;
-  size_t zerocopy_threshold_ = 0;
   size_t gather_budget_ = kGatherFramesMin;
-  uint32_t next_zerocopy_id_ = 0;
-  bool zerocopy_active_ = false;
 };
 
 }  // namespace rsf::net

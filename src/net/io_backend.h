@@ -41,18 +41,10 @@ namespace rsf::net {
 /// and the backends; re-exported by net/poller.h).
 inline constexpr uint32_t kEventReadable = 1u << 0;
 inline constexpr uint32_t kEventWritable = 1u << 1;
-/// Error/hangup fired.  Always delivered alongside the folded read/write
-/// bits — most handlers ignore it and let the next syscall surface the
-/// errno, but epoll-mode zerocopy links must see it explicitly: a socket
-/// with MSG_ZEROCOPY completions pending raises EPOLLERR (level-triggered,
-/// unmaskable) until the error queue is drained.
+/// Error/hangup fired (backends report it; EventLoop folds it into the
+/// armed read/write bits before dispatch, so the handler's next
+/// recv/sendmsg syscall surfaces the errno or EOF).
 inline constexpr uint32_t kEventError = 1u << 2;
-
-/// Flags passed to a submission's CompletionFn (backend-neutral
-/// translation of the io_uring CQE flags the transport cares about).
-inline constexpr uint32_t kCompletionMore = 1u << 0;   // more CQEs follow
-inline constexpr uint32_t kCompletionNotif = 1u << 1;  // SEND_ZC buffer release
-inline constexpr uint32_t kCompletionZcCopied = 1u << 2;  // kernel copied anyway
 
 /// One readiness event out of IoBackend::Wait.  `events` carries raw
 /// kEvent* bits; EventLoop folds error into the armed directions exactly
@@ -79,7 +71,7 @@ struct IoBackendCounters {
 /// loop-thread: no concurrency exists yet).
 class IoBackend {
  public:
-  using CompletionFn = std::function<void(int32_t res, uint32_t flags)>;
+  using CompletionFn = std::function<void(int32_t res)>;
 
   virtual ~IoBackend() = default;
 
@@ -114,10 +106,6 @@ class IoBackend {
   [[nodiscard]] virtual bool SupportsSubmission() const noexcept {
     return false;
   }
-  /// Whether SubmitSendZc is usable (kernel op probe).
-  [[nodiscard]] virtual bool SupportsZeroCopySend() const noexcept {
-    return false;
-  }
 
   /// Stages a recv of up to `len` bytes into `buf` (which must stay valid
   /// until the completion fires or Del(fd) runs).  `flags` are recv(2)
@@ -135,19 +123,6 @@ class IoBackend {
   /// partial count; the caller restages the remainder.
   virtual bool SubmitSendMsg(int fd, msghdr* hdr, CompletionFn cb) {
     (void)fd; (void)hdr; (void)cb;
-    return false;
-  }
-
-  /// Stages one zero-copy send of a single buffer (the pinned-payload
-  /// tier).  The callback fires twice: once with the byte count and
-  /// kCompletionMore (data accepted, buffer still pinned), then with
-  /// kCompletionNotif (and kCompletionZcCopied when the kernel copied
-  /// after all) once the pinned pages are released.  On an error result
-  /// without kCompletionMore no notification follows.  The caller keeps
-  /// the buffer alive until the notification (capture the holder in `cb`).
-  virtual bool SubmitSendZc(int fd, const void* buf, size_t len,
-                            CompletionFn cb) {
-    (void)fd; (void)buf; (void)len; (void)cb;
     return false;
   }
 };

@@ -85,7 +85,6 @@ void Link::StartServerOnLoop() {
   if (auto s = ApplyTransportSocketOptions(conn_); !s.ok()) {
     RSF_WARN("link: socket options failed: %s", s.message().c_str());
   }
-  SetupZeroCopy();
   Register();
 }
 
@@ -98,7 +97,6 @@ void Link::StartClientOnLoop(bool in_progress) {
   if (auto s = ApplyTransportSocketOptions(conn_); !s.ok()) {
     RSF_WARN("link: socket options failed: %s", s.message().c_str());
   }
-  SetupZeroCopy();
   if (in_progress) {
     Register();
     // No cancellation handle needed: the timer holds a weak_ptr and a
@@ -117,53 +115,6 @@ void Link::StartClientOnLoop(bool in_progress) {
   // handshake.
   EnterClientHandshake();
   if (state() != State::kClosed) Register();
-}
-
-void Link::SetupZeroCopy() {
-  if (options_.zerocopy_threshold == 0) return;
-  if (submit_mode_) {
-    // SEND_ZC carries its own notification CQEs — no SO_ZEROCOPY, no
-    // error-queue draining.  Enable the writer tier only when the ring
-    // actually supports the opcode.
-    if (!loop_->io_backend()->SupportsZeroCopySend()) return;
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.EnableZeroCopy(options_.zerocopy_threshold,
-                           options_.zerocopy_copied_limit);
-    return;
-  }
-  if (auto s = conn_.EnableZeroCopy(); !s.ok()) {
-    // Pre-4.14 kernel or odd socket family: keep the copy path, silently.
-    RSF_DEBUG("link: SO_ZEROCOPY unavailable (fd %d): %s", conn_.fd(),
-              s.message().c_str());
-    return;
-  }
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  writer_.EnableZeroCopy(options_.zerocopy_threshold,
-                         options_.zerocopy_copied_limit);
-}
-
-bool Link::DrainErrorQueue() {
-  // EPOLLERR stays raised while the error queue is non-empty (it is
-  // level-triggered and unmaskable), so drain to EAGAIN or we busy-loop.
-  // Entries are zerocopy completions — each releases a range of pinned
-  // payload holders.  A plain socket error (ECONNRESET) does not queue
-  // completion records; the queue reads empty and the subsequent
-  // read/write syscall surfaces the errno and closes the link.
-  for (;;) {
-    TcpConnection::ZeroCopyCompletion completion;
-    auto more = conn_.PollErrorQueue(&completion);
-    if (!more.ok()) {
-      CloseOnLoop(true);
-      return false;
-    }
-    if (!*more) return true;
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.CompleteZeroCopy(completion.lo, completion.hi, completion.copied);
-    zerocopy_frames_.store(writer_.ZeroCopyFrames(),
-                           std::memory_order_relaxed);
-    zerocopy_copied_.store(writer_.CopiedCompletions(),
-                           std::memory_order_relaxed);
-  }
 }
 
 void Link::MaybeArmWriteDeadline() {
@@ -196,8 +147,8 @@ void Link::OnWriteDeadline(uint64_t bytes_snapshot) {
   if (!pending) return;  // queue drained since arming — all good
   if (written == bytes_snapshot) {
     // The peer accepted nothing for a full period: it stopped reading.
-    // Close so queued frames and pinned zerocopy holders stop accruing;
-    // the owner counts the stranded frames as drops.
+    // Close so queued frames stop accruing; the owner counts the stranded
+    // frames as drops.
     RSF_WARN("link: no write progress in %llu ms with frames queued; "
              "closing (fd %d)",
              static_cast<unsigned long long>(options_.write_timeout_nanos /
@@ -260,11 +211,6 @@ void Link::UpdateInterest() {
 
 void Link::OnEvent(uint32_t events) {
   if (state() == State::kClosed) return;
-  if (events & kEventError) {
-    // Zerocopy completions arrive as EPOLLERR; drain before read/write so
-    // a completions-only event cannot spin the loop.
-    if (!DrainErrorQueue()) return;
-  }
   if (events & kEventWritable) {
     if (state() == State::kConnecting) {
       ResolveConnect();
@@ -460,8 +406,6 @@ void Link::FlushWriter() {
     status = writer_.Flush(conn_);
     pending = writer_.HasPending();
     sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
-    zerocopy_frames_.store(writer_.ZeroCopyFrames(),
-                           std::memory_order_relaxed);
   }
   if (!status.ok()) {
     CloseOnLoop(true);
@@ -499,9 +443,7 @@ void Link::ArmReceive() {
   }
   recv_armed_ = loop_->io_backend()->SubmitRecv(
       conn_.fd(), buf, len, flags,
-      [self = shared_from_this()](int32_t res, uint32_t) {
-        self->OnRecvCqe(res);
-      });
+      [self = shared_from_this()](int32_t res) { self->OnRecvCqe(res); });
   if (!recv_armed_) CloseOnLoop(true);
 }
 
@@ -547,7 +489,7 @@ void Link::PumpSend() {
   if (send_inflight_) return;
   const State s = state();
   if (s == State::kClosed || s == State::kConnecting) return;
-  FrameWriter::StagedSend staged;
+  std::span<const iovec> staged;
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
     staged = writer_.StageSubmission();
@@ -556,33 +498,13 @@ void Link::PumpSend() {
     if (s == State::kDraining) CloseOnLoop(true);
     return;
   }
-  IoBackend* backend = loop_->io_backend();
-  bool ok;
-  if (staged.zc_data != nullptr) {
-    {
-      std::lock_guard<std::mutex> lock(write_mutex_);
-      writer_.NoteZeroCopySubmitted();
-    }
-    // The payload holder rides in the completion closure: the backend
-    // keeps it pinned until the notification CQE (F_NOTIF) erases the
-    // entry — the submission-tier equivalent of the errqueue in-flight
-    // queue.
-    ok = backend->SubmitSendZc(
-        conn_.fd(), staged.zc_data, staged.zc_len,
-        [self = shared_from_this(), holder = staged.zc_holder](
-            int32_t res, uint32_t flags) { self->OnSendZcCqe(res, flags); });
-  } else {
-    send_hdr_ = msghdr{};
-    send_hdr_.msg_iov = const_cast<iovec*>(staged.iov.data());
-    send_hdr_.msg_iovlen =
-        std::min<size_t>(staged.iov.size(), static_cast<size_t>(IOV_MAX));
-    ok = backend->SubmitSendMsg(
-        conn_.fd(), &send_hdr_,
-        [self = shared_from_this()](int32_t res, uint32_t) {
-          self->OnSendCqe(res);
-        });
-  }
-  if (!ok) {
+  send_hdr_ = msghdr{};
+  send_hdr_.msg_iov = const_cast<iovec*>(staged.data());
+  send_hdr_.msg_iovlen =
+      std::min<size_t>(staged.size(), static_cast<size_t>(IOV_MAX));
+  if (!loop_->io_backend()->SubmitSendMsg(
+          conn_.fd(), &send_hdr_,
+          [self = shared_from_this()](int32_t res) { self->OnSendCqe(res); })) {
     CloseOnLoop(true);
     return;
   }
@@ -606,77 +528,12 @@ void Link::OnSendCqe(int32_t res) {
   bool pending;
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.CommitStaged(static_cast<size_t>(res), false);
+    writer_.CommitStaged(static_cast<size_t>(res));
     pending = writer_.HasPending();
     sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
   }
   if (pending) {
     PumpSend();  // a short send resumes mid-frame; more frames keep going
-    return;
-  }
-  if (state() == State::kDraining) CloseOnLoop(true);
-}
-
-void Link::OnSendZcCqe(int32_t res, uint32_t flags) {
-  if (flags & kCompletionNotif) {
-    // Notification CQE: the kernel released the pinned pages.  res carries
-    // only the copied-fallback bit (loopback copies anyway); enough of
-    // them auto-disables the tier, same policy as the errqueue path.
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.NoteZeroCopyReleased((flags & kCompletionZcCopied) != 0);
-    zerocopy_copied_.store(writer_.CopiedCompletions(),
-                           std::memory_order_relaxed);
-    return;
-  }
-  // Data CQE (kCompletionMore set when a notification will follow).
-  send_inflight_ = false;
-  const bool notif_follows = (flags & kCompletionMore) != 0;
-  if (state() == State::kClosed) return;
-  if (res < 0) {
-    if (!notif_follows) {
-      // Errored before pinning anything: no notification will arrive.
-      std::lock_guard<std::mutex> lock(write_mutex_);
-      writer_.NoteZeroCopyReleased(false);
-    }
-    if (res == -ENOBUFS || res == -EINTR || res == -EAGAIN) {
-      // Transient pinned-page pressure: this frame degrades to the copy
-      // path, the tier stays on for later frames.
-      if (res == -ENOBUFS) {
-        std::lock_guard<std::mutex> lock(write_mutex_);
-        writer_.ForceCopyStagedFront();
-      }
-      PumpSend();
-      return;
-    }
-    if (res == -EINVAL || res == -EOPNOTSUPP) {
-      // The socket family or route can't do SEND_ZC at all: turn the tier
-      // off for the link's lifetime and resend via the copy path.
-      {
-        std::lock_guard<std::mutex> lock(write_mutex_);
-        writer_.EnableZeroCopy(0, 0);
-      }
-      PumpSend();
-      return;
-    }
-    if (res == -ECANCELED) return;
-    RSF_DEBUG("link: SEND_ZC completion failed: %s", std::strerror(-res));
-    CloseOnLoop(true);
-    return;
-  }
-  // The socket-layer zerocopy counters normally tick inside
-  // TcpConnection::SendSome; SEND_ZC bypasses it, so feed them here.
-  NoteZeroCopySend(static_cast<uint64_t>(res));
-  bool pending;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.CommitStaged(static_cast<size_t>(res), true);
-    pending = writer_.HasPending();
-    sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
-    zerocopy_frames_.store(writer_.ZeroCopyFrames(),
-                           std::memory_order_relaxed);
-  }
-  if (pending) {
-    PumpSend();
     return;
   }
   if (state() == State::kDraining) CloseOnLoop(true);
@@ -715,17 +572,11 @@ void Link::CloseOnLoop(bool notify) {
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
     stranded_.store(writer_.PendingFrames(), std::memory_order_relaxed);
-    // Completions for sends still in flight will never be read; dropping
-    // the holders now is safe because the kernel keeps its own page
-    // references for queued skbs — the holders only gate user-space
-    // buffer reuse, and the arena block frees whenever the last reference
-    // (ours or a fan-out peer's) goes.
-    writer_.ReleaseInFlight();
   }
   // Remove BEFORE close: on a submission backend this synchronously
-  // cancels every SQE targeting the fd (and drops the completion closures,
-  // releasing any SEND_ZC payload holders they carry) — closing first
-  // would leave in-flight SQEs holding the file open.
+  // cancels every SQE targeting the fd (and drops the completion
+  // closures) — closing first would leave in-flight SQEs holding the file
+  // open.
   if (registered_) {
     loop_->Remove(conn_.fd());
     registered_ = false;
@@ -752,19 +603,7 @@ Link::Stats Link::stats() const noexcept {
   s.frames_sent = sent_.load(std::memory_order_relaxed);
   s.frames_received = received_.load(std::memory_order_relaxed);
   s.frames_stranded = stranded_.load(std::memory_order_relaxed);
-  s.zerocopy_frames = zerocopy_frames_.load(std::memory_order_relaxed);
-  s.zerocopy_copied = zerocopy_copied_.load(std::memory_order_relaxed);
   return s;
-}
-
-size_t Link::PendingZeroCopyHolders() {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  return writer_.InFlightHolders();
-}
-
-bool Link::ZeroCopyActive() {
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  return writer_.ZeroCopyActive();
 }
 
 }  // namespace rsf::net

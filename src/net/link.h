@@ -78,19 +78,10 @@ class Link : public std::enable_shared_from_this<Link> {
     size_t max_pending_frames = 0;
     /// A dial still in kConnecting after this long is closed.
     uint64_t connect_timeout_nanos = 10ull * 1'000'000'000ull;
-    /// MSG_ZEROCOPY payload threshold for this link's send path; 0 (the
-    /// default) keeps the tier off.  Data-bearing owners pass
-    /// ZeroCopyThresholdBytes() so the env knob applies per link at
-    /// creation time; handshake-and-receive links (subscription dials)
-    /// leave it off.
-    size_t zerocopy_threshold = 0;
-    /// SO_EE_CODE_ZEROCOPY_COPIED completions tolerated before the tier
-    /// auto-disables (0 = never); owners pass ZeroCopyCopiedLimit().
-    uint64_t zerocopy_copied_limit = 0;
     /// Write-progress deadline: with frames queued and the kernel
     /// accepting zero bytes across one full period, the link closes and
     /// the queued frames count as stranded — a peer that stops reading
-    /// must not pin zerocopy holders and queue memory forever.  0 (the
+    /// must not pin queued payload buffers forever.  0 (the
     /// default) disables the deadline.  Detection latency is within
     /// [period, 2·period): the timer snapshots BytesWritten and fires one
     /// period later.
@@ -193,17 +184,8 @@ class Link : public std::enable_shared_from_this<Link> {
     uint64_t frames_sent = 0;
     uint64_t frames_received = 0;
     uint64_t frames_stranded = 0;  // queued but unsent when the link closed
-    uint64_t zerocopy_frames = 0;  // frames whose payload went out pinned
-    uint64_t zerocopy_copied = 0;  // completions the kernel copied anyway
   };
   [[nodiscard]] Stats stats() const noexcept;
-
-  /// Payload holders pinned awaiting kernel zerocopy completions
-  /// (thread-safe; tests assert release ordering).
-  [[nodiscard]] size_t PendingZeroCopyHolders();
-  /// Whether the writer's zerocopy tier is currently on (thread-safe;
-  /// tests observe the copied-fallback auto-disable).
-  [[nodiscard]] bool ZeroCopyActive();
 
   [[nodiscard]] int fd() const noexcept { return conn_.fd(); }
   [[nodiscard]] EventLoop* loop() const noexcept { return loop_; }
@@ -213,8 +195,6 @@ class Link : public std::enable_shared_from_this<Link> {
 
   void StartServerOnLoop();
   void StartClientOnLoop(bool in_progress);
-  void SetupZeroCopy();
-  bool DrainErrorQueue();
   void MaybeArmWriteDeadline();
   void OnWriteDeadline(uint64_t bytes_snapshot);
   void Register();
@@ -239,7 +219,6 @@ class Link : public std::enable_shared_from_this<Link> {
   void OnRecvCqe(int32_t res);
   void PumpSend();
   void OnSendCqe(int32_t res);
-  void OnSendZcCqe(int32_t res, uint32_t flags);
 
   /// Decrements the loop's live-link count exactly once (close or
   /// destruction, whichever comes first).
@@ -278,8 +257,6 @@ class Link : public std::enable_shared_from_this<Link> {
   std::atomic<uint64_t> sent_{0};
   std::atomic<uint64_t> received_{0};
   std::atomic<uint64_t> stranded_{0};
-  std::atomic<uint64_t> zerocopy_frames_{0};
-  std::atomic<uint64_t> zerocopy_copied_{0};
 };
 
 }  // namespace rsf::net

@@ -259,12 +259,10 @@ void EventLoop::Run() {
       auto handler = it->second;  // keeps the callback alive across Remove
       uint32_t ready_bits = event.events & (kEventReadable | kEventWritable);
       if (event.events & kEventError) {
-        // Deliver the error through whatever direction is armed so the next
-        // read/write syscall surfaces the errno, and flag it explicitly for
-        // handlers that must drain the error queue (zerocopy completions).
+        // Deliver the error through whatever direction is armed (readable
+        // when none is) so the next read/write syscall surfaces the errno.
         ready_bits |= handler->interest & (kEventReadable | kEventWritable);
-        ready_bits |= kEventError;
-        if ((ready_bits & ~kEventError) == 0) ready_bits |= kEventReadable;
+        if (ready_bits == 0) ready_bits |= kEventReadable;
       }
       if (ready_bits != 0) handler->callback(ready_bits);
     }

@@ -107,8 +107,8 @@ class EventLoop {
   void Remove(int fd);
 
   /// The backend carrying this loop's I/O.  Links use it directly for the
-  /// submission tier (SubmitRecv/SubmitSendMsg/SubmitSendZc); completion
-  /// callbacks run on the loop thread, inside the Wait that reaped them.
+  /// submission tier (SubmitRecv/SubmitSendMsg); completion callbacks run
+  /// on the loop thread, inside the Wait that reaped them.
   [[nodiscard]] IoBackend* io_backend() noexcept { return backend_.get(); }
   [[nodiscard]] const char* backend_name() const noexcept {
     return backend_->name();

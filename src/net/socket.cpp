@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
-#include <linux/errqueue.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -12,7 +11,6 @@
 #include <atomic>
 #include <cerrno>
 #include <climits>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -26,8 +24,6 @@ Status ErrnoStatus(const char* what) {
 std::atomic<uint64_t> g_write_syscalls{0};
 std::atomic<uint64_t> g_recv_syscalls{0};
 std::atomic<uint64_t> g_blocking_connects{0};
-std::atomic<uint64_t> g_zerocopy_sends{0};
-std::atomic<uint64_t> g_zerocopy_bytes{0};
 
 }  // namespace
 
@@ -39,39 +35,8 @@ uint64_t RecvSyscallCount() noexcept {
   return g_recv_syscalls.load(std::memory_order_relaxed);
 }
 
-void NoteZeroCopySend(uint64_t bytes) noexcept {
-  g_zerocopy_sends.fetch_add(1, std::memory_order_relaxed);
-  g_zerocopy_bytes.fetch_add(bytes, std::memory_order_relaxed);
-}
-
 uint64_t BlockingConnectCount() noexcept {
   return g_blocking_connects.load(std::memory_order_relaxed);
-}
-
-uint64_t ZeroCopySendCount() noexcept {
-  return g_zerocopy_sends.load(std::memory_order_relaxed);
-}
-
-uint64_t ZeroCopySendBytes() noexcept {
-  return g_zerocopy_bytes.load(std::memory_order_relaxed);
-}
-
-size_t ZeroCopyThresholdBytes() noexcept {
-  if (const char* env = std::getenv("RSF_ZEROCOPY_THRESHOLD")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != env) return static_cast<size_t>(parsed);
-  }
-  return 64u * 1024u;
-}
-
-uint64_t ZeroCopyCopiedLimit() noexcept {
-  if (const char* env = std::getenv("RSF_ZEROCOPY_COPIED_LIMIT")) {
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end != env) return parsed;  // 0 = never park the tier
-  }
-  return 8;
 }
 
 void FdGuard::Reset() noexcept {
@@ -227,76 +192,17 @@ Result<size_t> TcpConnection::ReadSome(std::span<uint8_t> data) {
 }
 
 Result<size_t> TcpConnection::WriteSome(std::span<const iovec> iov) {
-  const SendResult result = SendSome(iov, 0);
-  if (result.error != 0) {
-    errno = result.error;
-    return ErrnoStatus("sendmsg");
-  }
-  return result.bytes;
-}
-
-TcpConnection::SendResult TcpConnection::SendSome(std::span<const iovec> iov,
-                                                  int flags) noexcept {
-  if (iov.empty()) return {};
+  if (iov.empty()) return size_t{0};
   for (;;) {
     msghdr msg{};
     msg.msg_iov = const_cast<iovec*>(iov.data());
     msg.msg_iovlen = std::min(iov.size(), size_t{IOV_MAX});
     g_write_syscalls.fetch_add(1, std::memory_order_relaxed);
-    const ssize_t n = ::sendmsg(fd_.fd(), &msg, MSG_NOSIGNAL | flags);
-    if (n >= 0) {
-      if ((flags & MSG_ZEROCOPY) != 0 && n > 0) {
-        g_zerocopy_sends.fetch_add(1, std::memory_order_relaxed);
-        g_zerocopy_bytes.fetch_add(static_cast<uint64_t>(n),
-                                   std::memory_order_relaxed);
-      }
-      return {static_cast<size_t>(n), 0};
-    }
+    const ssize_t n = ::sendmsg(fd_.fd(), &msg, MSG_NOSIGNAL);
+    if (n >= 0) return static_cast<size_t>(n);
     if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return {};
-    return {0, errno != 0 ? errno : EIO};
-  }
-}
-
-Status TcpConnection::EnableZeroCopy() {
-  const int one = 1;
-  if (::setsockopt(fd_.fd(), SOL_SOCKET, SO_ZEROCOPY, &one, sizeof(one)) !=
-      0) {
-    return ErrnoStatus("setsockopt(SO_ZEROCOPY)");
-  }
-  return Status::Ok();
-}
-
-Result<bool> TcpConnection::PollErrorQueue(ZeroCopyCompletion* out) {
-  for (;;) {
-    // Zerocopy notifications carry no data, only ancillary payload; the
-    // control buffer is sized for one sock_extended_err comfortably.
-    alignas(cmsghdr) char control[256];
-    msghdr msg{};
-    msg.msg_control = control;
-    msg.msg_controllen = sizeof(control);
-    const ssize_t n = ::recvmsg(fd_.fd(), &msg, MSG_ERRQUEUE);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return false;
-      return ErrnoStatus("recvmsg(MSG_ERRQUEUE)");
-    }
-    for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr;
-         cm = CMSG_NXTHDR(&msg, cm)) {
-      const bool recverr =
-          (cm->cmsg_level == SOL_IP && cm->cmsg_type == IP_RECVERR) ||
-          (cm->cmsg_level == SOL_IPV6 && cm->cmsg_type == IPV6_RECVERR);
-      if (!recverr) continue;
-      const auto* ee =
-          reinterpret_cast<const sock_extended_err*>(CMSG_DATA(cm));
-      if (ee->ee_origin != SO_EE_ORIGIN_ZEROCOPY) continue;
-      out->lo = ee->ee_info;
-      out->hi = ee->ee_data;
-      out->copied = (ee->ee_code & SO_EE_CODE_ZEROCOPY_COPIED) != 0;
-      return true;
-    }
-    // An errqueue entry that was not a zerocopy completion (stray ICMP):
-    // consumed; keep draining.
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
+    return ErrnoStatus("sendmsg");
   }
 }
 

@@ -110,47 +110,6 @@ class TcpConnection {
   /// The caller resumes from wherever the count left off (FrameWriter).
   Result<size_t> WriteSome(std::span<const iovec> iov);
 
-  /// Outcome of one nonblocking send syscall, errno preserved.  The
-  /// zerocopy egress tier needs the raw errno (ENOBUFS means "retry this
-  /// send with a copy", not "link dead"), which Status strings erase.
-  /// `error == 0` with `bytes == 0` is EAGAIN (socket buffer full).
-  struct SendResult {
-    size_t bytes = 0;
-    int error = 0;
-  };
-
-  /// Nonblocking single gathered send with explicit flags (MSG_NOSIGNAL is
-  /// always added).  Pass MSG_ZEROCOPY to pin the iovec pages instead of
-  /// copying them into the kernel — the caller then owns the buffers until
-  /// the matching completion arrives on the error queue (see
-  /// PollErrorQueue).  EINTR is retried internally.
-  SendResult SendSome(std::span<const iovec> iov, int flags) noexcept;
-
-  /// Requests kernel zero-copy transmission (SO_ZEROCOPY).  Fails on
-  /// kernels/sockets without support — callers then keep the copy path.
-  Status EnableZeroCopy();
-
-  /// One MSG_ZEROCOPY completion: every zerocopy send that leaves bytes is
-  /// assigned a sequential 32-bit notification id (first send = 0); the
-  /// kernel acknowledges id ranges [lo, hi] once it no longer reads the
-  /// pinned pages.  `copied` reports the SO_EE_CODE_ZEROCOPY_COPIED
-  /// fallback: the kernel copied after all (loopback always does), so the
-  /// caller paid completion bookkeeping for nothing and should consider
-  /// disabling the tier on this socket.
-  struct ZeroCopyCompletion {
-    uint32_t lo = 0;
-    uint32_t hi = 0;
-    bool copied = false;
-  };
-
-  /// Drains one zerocopy completion from the socket error queue
-  /// (MSG_ERRQUEUE).  Returns true with `*out` filled, false when the
-  /// queue is empty (EAGAIN) — EPOLLERR is level-triggered while the queue
-  /// is non-empty, so loop until false.  Non-zerocopy errqueue entries are
-  /// skipped.  A terminal error (EBADF after close) comes back as a
-  /// Status.
-  Result<bool> PollErrorQueue(ZeroCopyCompletion* out);
-
   /// Switches O_NONBLOCK on or off (reactor-managed connections are
   /// nonblocking; the legacy thread transport and SimLink stay blocking).
   Status SetNonBlocking(bool enabled);
@@ -200,31 +159,6 @@ uint64_t RecvSyscallCount() noexcept;
 /// shim: middleware tests assert the subscriber dial path (which runs on
 /// the master-notify thread) never issues a blocking connect.
 uint64_t BlockingConnectCount() noexcept;
-
-/// Process-wide count of MSG_ZEROCOPY send syscalls that left bytes, and
-/// the payload bytes they pinned.  Test shims: the middleware copy-budget
-/// tests assert an above-threshold SFM publish leaves user space without a
-/// single payload copy (bytes flow through here, not through memcpy).
-uint64_t ZeroCopySendCount() noexcept;
-uint64_t ZeroCopySendBytes() noexcept;
-
-/// Feeds the zerocopy-send counters for sends that bypass TcpConnection —
-/// the uring backend's IORING_OP_SEND_ZC completions — so the copy-budget
-/// shims stay meaningful under either backend.
-void NoteZeroCopySend(uint64_t bytes) noexcept;
-
-/// The frame size at or above which FrameWriter sends payloads with
-/// MSG_ZEROCOPY (RSF_ZEROCOPY_THRESHOLD env, default 64 KiB; 0 disables
-/// the tier).  Below it, pinning + completion bookkeeping costs more than
-/// the copy it saves.  Re-read on every call so benches and tests can
-/// flip the env between runs.
-size_t ZeroCopyThresholdBytes() noexcept;
-
-/// How many SO_EE_CODE_ZEROCOPY_COPIED completions a link tolerates
-/// before concluding the route cannot do true zerocopy (loopback never
-/// can) and reverting to the copy path (RSF_ZEROCOPY_COPIED_LIMIT env,
-/// default 8; 0 = never revert, for benches pinning the tier on).
-uint64_t ZeroCopyCopiedLimit() noexcept;
 
 /// True for accept(2) errno values that do not poison the listener —
 /// aborted handshakes (ECONNABORTED, EPROTO), fd-table or kernel-memory

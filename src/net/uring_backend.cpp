@@ -191,8 +191,8 @@ bool UringBackend::SetupRing() {
 void UringBackend::ProbeOps() {
   // IORING_REGISTER_PROBE tells us which opcodes this kernel implements.
   // POLL_ADD (5.1) is the floor; the submission tier additionally needs
-  // RECV/SENDMSG/ASYNC_CANCEL (5.6), and the zerocopy tier SEND_ZC (6.0).
-  // A failed probe (pre-5.6 kernel) leaves the backend readiness-only.
+  // RECV/SENDMSG/ASYNC_CANCEL (5.6).  A failed probe (pre-5.6 kernel)
+  // leaves the backend readiness-only.
   //
   // The probe runs against a tiny throwaway ring: the real ring may be
   // R_DISABLED (registration is refused until enable), and enabling it
@@ -225,7 +225,6 @@ void UringBackend::ProbeOps() {
   supports_submission_ = supported(IORING_OP_RECV) &&
                          supported(IORING_OP_SENDMSG) &&
                          supported(IORING_OP_ASYNC_CANCEL);
-  supports_send_zc_ = supports_submission_ && supported(IORING_OP_SEND_ZC);
 }
 
 UringBackend::~UringBackend() {
@@ -403,16 +402,15 @@ void UringBackend::ReapCqes(std::vector<ReadyEvent>* ready) {
     // Del → SubmitNow, and the kernel must see the slot as consumed.
     const uint64_t user_data = slot.user_data;
     const int32_t res = slot.res;
-    const uint32_t flags = slot.flags;
     ++head;
     StoreRelease(cq_head_, head);
     cqes_reaped_.fetch_add(1, std::memory_order_relaxed);
     backend_counters::AddCqes(1);
-    HandleCqe(user_data, res, flags, ready);
+    HandleCqe(user_data, res, ready);
   }
 }
 
-void UringBackend::HandleCqe(uint64_t user_data, int32_t res, uint32_t flags,
+void UringBackend::HandleCqe(uint64_t user_data, int32_t res,
                              std::vector<ReadyEvent>* ready) {
   auto it = pending_.find(user_data);
   if (it == pending_.end()) return;  // cancelled or unknown: drop
@@ -440,22 +438,12 @@ void UringBackend::HandleCqe(uint64_t user_data, int32_t res, uint32_t flags,
     if (fit->second.interest != 0) rearm_.push_back(fd);
     return;
   }
-  // Submission completion.  SEND_ZC delivers two CQEs under one
-  // user_data: data (F_MORE, keep the entry) then the buffer-release
-  // notification (F_NOTIF, entry retired).
-  uint32_t out_flags = 0;
-  int32_t out_res = res;
-  if (flags & IORING_CQE_F_MORE) out_flags |= kCompletionMore;
-  if (flags & IORING_CQE_F_NOTIF) {
-    out_flags |= kCompletionNotif;
-    if (static_cast<uint32_t>(res) & IORING_NOTIF_USAGE_ZC_COPIED) {
-      out_flags |= kCompletionZcCopied;
-    }
-    out_res = 0;
-  }
-  CompletionFn cb = it->second.cb;
-  if ((flags & IORING_CQE_F_MORE) == 0) pending_.erase(it);
-  cb(out_res, out_flags);
+  // Submission completion: every submission produces exactly one CQE.
+  // Move the callback out before erasing — it may re-submit (and rehash
+  // pending_) from inside.
+  CompletionFn cb = std::move(it->second.cb);
+  pending_.erase(it);
+  cb(res);
 }
 
 bool UringBackend::SubmitRecv(int fd, void* buf, size_t len, int flags,
@@ -484,26 +472,6 @@ bool UringBackend::SubmitSendMsg(int fd, msghdr* hdr, CompletionFn cb) {
   sqe->addr = reinterpret_cast<uint64_t>(hdr);
   sqe->len = 1;
   sqe->msg_flags = MSG_NOSIGNAL;
-  sqe->user_data = id;
-  pending_[id] = Pending{fd, /*is_poll=*/false, std::move(cb)};
-  return true;
-}
-
-bool UringBackend::SubmitSendZc(int fd, const void* buf, size_t len,
-                                CompletionFn cb) {
-  if (!supports_send_zc_) return false;
-  io_uring_sqe* sqe = GetSqe();
-  if (sqe == nullptr) return false;
-  const uint64_t id = next_id_++;
-  sqe->opcode = IORING_OP_SEND_ZC;
-  sqe->fd = fd;
-  sqe->addr = reinterpret_cast<uint64_t>(buf);
-  sqe->len = static_cast<uint32_t>(len);
-  sqe->msg_flags = MSG_NOSIGNAL;
-  // REPORT_USAGE makes the notification CQE say whether the kernel fell
-  // back to copying — feeds the same copied-completion auto-disable the
-  // errqueue path uses.
-  sqe->ioprio = IORING_SEND_ZC_REPORT_USAGE;
   sqe->user_data = id;
   pending_[id] = Pending{fd, /*is_poll=*/false, std::move(cb)};
   return true;

@@ -75,14 +75,9 @@ class UringBackend final : public IoBackend {
   [[nodiscard]] bool SupportsSubmission() const noexcept override {
     return supports_submission_;
   }
-  [[nodiscard]] bool SupportsZeroCopySend() const noexcept override {
-    return supports_send_zc_;
-  }
   bool SubmitRecv(int fd, void* buf, size_t len, int flags,
                   CompletionFn cb) override;
   bool SubmitSendMsg(int fd, msghdr* hdr, CompletionFn cb) override;
-  bool SubmitSendZc(int fd, const void* buf, size_t len,
-                    CompletionFn cb) override;
 
  private:
   struct FdState {
@@ -107,7 +102,7 @@ class UringBackend final : public IoBackend {
   void SubmitNow();
   void ArmPendingPolls();
   void ReapCqes(std::vector<ReadyEvent>* ready);
-  void HandleCqe(uint64_t user_data, int32_t res, uint32_t flags,
+  void HandleCqe(uint64_t user_data, int32_t res,
                  std::vector<ReadyEvent>* ready);
   [[nodiscard]] unsigned CqReadyCount() const noexcept;
   uint64_t StagePoll(int fd, uint32_t interest);
@@ -135,7 +130,6 @@ class UringBackend final : public IoBackend {
   bool needs_enable_ = false;  // ring created R_DISABLED, not yet enabled
 
   bool supports_submission_ = false;
-  bool supports_send_zc_ = false;
 
   uint64_t next_id_ = 1;
   std::unordered_map<int, FdState> fds_;

@@ -68,7 +68,7 @@ inline constexpr uint64_t kMcastMaxNackSpan = 1024;
 /// a loss storm for it and leaves the tier (per-subscriber TCP fallback).
 inline constexpr uint64_t kMcastLeaveThreshold = 256;
 
-// ---- env knobs (re-read per call, like the zerocopy/shm knobs) ----
+// ---- env knobs (re-read per call, like the shm knobs) ----
 
 /// RSF_TRANSPORT_MCAST=1 opts a process into the tier (both sides).
 bool McastEnabled() noexcept;

@@ -43,9 +43,8 @@ inline std::atomic<uint64_t> deserialize_copies{0};  // generated de-serializer 
 inline std::atomic<uint64_t> arena_direct{0};  // payload read straight into an arena
 // Send-path counters: every user-space copy a publish can make on its way
 // to the wire.  An SFM arena publish must bump NEITHER — its payload goes
-// out as an aliased shared_ptr, and (above the zerocopy threshold) even
-// the kernel crossing is a pin, not a copy (rsf::net::ZeroCopySendBytes
-// carries the proof for that last hop).
+// out as an aliased shared_ptr, so the only copy left on the send side is
+// the kernel's own sendmsg copy (one, by design: DESIGN.md §9).
 inline std::atomic<uint64_t> wire_serialize_copies{0};  // generated serializer ran
 inline std::atomic<uint64_t> wire_snapshot_copies{0};   // SFM stack-fallback memcpy
 // Shm-tier counters (DESIGN.md §12): deliveries that crossed processes as a

@@ -203,12 +203,9 @@ void Publication::OnAcceptReady() {
     std::weak_ptr<Publication> weak = weak_from_this();
     rsf::net::Link::Options options;
     options.max_pending_frames = queue_size_;
-    // Data flows publisher→subscriber on this link, so it gets the full
-    // egress treatment: the zerocopy tier for large frames (env-tuned,
-    // resolved per link so benches can flip it between runs) and the
-    // write-progress deadline that drops a peer that stopped reading.
-    options.zerocopy_threshold = rsf::net::ZeroCopyThresholdBytes();
-    options.zerocopy_copied_limit = rsf::net::ZeroCopyCopiedLimit();
+    // Data flows publisher→subscriber on this link, so it gets the
+    // write-progress deadline that drops a peer that stopped reading
+    // (env-tuned, resolved per link so tests can shrink it between runs).
     options.write_timeout_nanos = rsf::net::WriteTimeoutNanos();
     auto ctx = std::make_shared<WireLaneContext>();
     rsf::net::Link::Callbacks callbacks;

@@ -139,24 +139,6 @@ TEST(Framing, WriteFrameCostsOneSyscall) {
   EXPECT_EQ(received[0], 0x42);
 }
 
-TEST(Framing, ScatteredWriteCostsOneSyscall) {
-  auto [client, server] = MakePair();
-  const std::vector<uint8_t> head(16, 0x01);
-  const std::vector<uint8_t> body(2048, 0x02);
-  const uint64_t before = WriteSyscallCount();
-  ASSERT_TRUE(WriteFrameScattered(client, head, body).ok());
-  EXPECT_EQ(WriteSyscallCount() - before, 1u);
-
-  std::vector<uint8_t> received(head.size() + body.size());
-  uint32_t length = 0;
-  ASSERT_TRUE(
-      ReadFrame(server, [&](uint32_t) { return received.data(); }, &length)
-          .ok());
-  ASSERT_EQ(length, head.size() + body.size());
-  EXPECT_EQ(received[0], 0x01);
-  EXPECT_EQ(received[head.size()], 0x02);
-}
-
 TEST(Framing, RoundTripSmallAndLarge) {
   auto [client, server] = MakePair();
   for (const size_t size : {size_t{0}, size_t{1}, size_t{100000}}) {
@@ -179,23 +161,6 @@ TEST(Framing, RoundTripSmallAndLarge) {
       EXPECT_EQ(received[size - 1], 0xAB);
     }
   }
-}
-
-TEST(Framing, ScatteredWriteArrivesAsOneFrame) {
-  auto [client, server] = MakePair();
-  const std::vector<uint8_t> head = {1, 2, 3};
-  const std::vector<uint8_t> body = {4, 5, 6, 7};
-  std::thread writer(
-      [&] { ASSERT_TRUE(WriteFrameScattered(client, head, body).ok()); });
-  std::vector<uint8_t> received(16);
-  uint32_t length = 0;
-  ASSERT_TRUE(
-      ReadFrame(server, [&](uint32_t) { return received.data(); }, &length)
-          .ok());
-  writer.join();
-  ASSERT_EQ(length, 7u);
-  EXPECT_EQ(received[0], 1);
-  EXPECT_EQ(received[6], 7);
 }
 
 TEST(Framing, OversizedLengthRejected) {

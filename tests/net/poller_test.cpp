@@ -453,7 +453,7 @@ TEST(FrameWriter, AdaptiveGatherBudgetGrowsWithDepthAndDecaysWhenShallow) {
   ASSERT_TRUE(server.SetNonBlocking(true).ok());
 
   // Each deep flush doubles the budget (one adaptation per Flush call):
-  // 8 → 16 → 32 → 64 (the RSF_SEND_BATCH_MAX default), and the syscall
+  // 8 → 16 → 32 → 64 (kGatherFramesMax), and the syscall
   // count per 100-frame burst drops as the gather window widens.
   size_t expected_budget = kGatherFramesMin;
   uint64_t syscalls_first_burst = 0;
@@ -468,7 +468,7 @@ TEST(FrameWriter, AdaptiveGatherBudgetGrowsWithDepthAndDecaysWhenShallow) {
     const uint64_t used = WriteSyscallCount() - before;
     if (round == 0) syscalls_first_burst = used;
     syscalls_last_burst = used;
-    expected_budget = std::min<size_t>(expected_budget * 2, 64);
+    expected_budget = std::min(expected_budget * 2, kGatherFramesMax);
     EXPECT_EQ(writer.GatherBudget(), expected_budget) << "round " << round;
   }
   EXPECT_LT(syscalls_last_burst, syscalls_first_burst);

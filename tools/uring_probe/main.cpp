@@ -14,8 +14,7 @@ int main() {
   if (rsf::net::UringAvailable()) {
     auto backend = rsf::net::MakeIoBackend(rsf::net::IoBackendKind::kUring);
     if (backend != nullptr && backend->SupportsSubmission()) {
-      std::printf("io_uring usable (send_zc=%s)\n",
-                  backend->SupportsZeroCopySend() ? "yes" : "no");
+      std::printf("io_uring usable\n");
       return 0;
     }
     std::printf("io_uring setup succeeded but required opcodes missing\n");
