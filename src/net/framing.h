@@ -135,8 +135,8 @@ inline constexpr size_t kGatherFramesMax = 64;
 /// economics of WritevAll: each Flush() gathers the length prefixes and
 /// payloads of every queued frame into as few writev-style syscalls as the
 /// socket buffer allows, resuming mid-frame after partial writes.  Not
-/// thread-safe — confine to one loop thread (callers lock around it when a
-/// producer thread enqueues).
+/// thread-safe — Link locks around every call, since a producer thread
+/// may enqueue, or flush an idle link itself (Link::WriteThrough).
 ///
 /// Every payload crosses into the kernel by an ordinary copying sendmsg
 /// (or IORING_OP_SENDMSG): the one kernel copy is by design, see

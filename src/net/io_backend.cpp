@@ -18,6 +18,8 @@ std::atomic<uint64_t> g_sqes_submitted{0};
 std::atomic<uint64_t> g_cqes_reaped{0};
 std::atomic<uint64_t> g_epoll_waits{0};
 std::atomic<uint64_t> g_epoll_ctls{0};
+std::atomic<uint64_t> g_wakeup_writes{0};
+std::atomic<uint64_t> g_wakeup_reads{0};
 
 /// The test hook: RSF_URING_FORCE_UNAVAILABLE=1 makes the probe report
 /// failure even where io_uring works, exercising the auto-fallback path.
@@ -51,6 +53,12 @@ void AddEpollWaits(uint64_t n) noexcept {
 }
 void AddEpollCtls(uint64_t n) noexcept {
   g_epoll_ctls.fetch_add(n, std::memory_order_relaxed);
+}
+void AddWakeupWrites(uint64_t n) noexcept {
+  g_wakeup_writes.fetch_add(n, std::memory_order_relaxed);
+}
+void AddWakeupReads(uint64_t n) noexcept {
+  g_wakeup_reads.fetch_add(n, std::memory_order_relaxed);
 }
 }  // namespace backend_counters
 
@@ -108,6 +116,8 @@ IoSyscallCounters GlobalIoCounters() noexcept {
   out.epoll_ctls = g_epoll_ctls.load(std::memory_order_relaxed);
   out.sendmsg_calls = WriteSyscallCount();
   out.recv_calls = RecvSyscallCount();
+  out.wakeup_writes = g_wakeup_writes.load(std::memory_order_relaxed);
+  out.wakeup_reads = g_wakeup_reads.load(std::memory_order_relaxed);
   return out;
 }
 

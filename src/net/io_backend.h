@@ -159,11 +159,14 @@ struct IoSyscallCounters {
   uint64_t epoll_ctls = 0;
   uint64_t sendmsg_calls = 0;  // socket.cpp WriteSyscallCount
   uint64_t recv_calls = 0;     // socket.cpp RecvSyscallCount
+  uint64_t wakeup_writes = 0;  // EventLoop eventfd kicks (Post, Stop)
+  uint64_t wakeup_reads = 0;   // EventLoop eventfd drains
 
-  /// Transport syscalls: what a delivery actually pays the kernel.
+  /// Transport syscalls: what a delivery actually pays the kernel,
+  /// including the cross-thread loop wake-up a producer's kick costs.
   [[nodiscard]] uint64_t TotalSyscalls() const noexcept {
     return enter_calls + epoll_waits + epoll_ctls + sendmsg_calls +
-           recv_calls;
+           recv_calls + wakeup_writes + wakeup_reads;
   }
 };
 IoSyscallCounters GlobalIoCounters() noexcept;
@@ -175,6 +178,8 @@ void AddSqes(uint64_t n) noexcept;
 void AddCqes(uint64_t n) noexcept;
 void AddEpollWaits(uint64_t n) noexcept;
 void AddEpollCtls(uint64_t n) noexcept;
+void AddWakeupWrites(uint64_t n) noexcept;
+void AddWakeupReads(uint64_t n) noexcept;
 }  // namespace backend_counters
 
 }  // namespace rsf::net

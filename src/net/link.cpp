@@ -256,14 +256,7 @@ void Link::ResolveConnect() {
 void Link::EnterClientHandshake() {
   state_.store(State::kHandshaking, std::memory_order_release);
   if (callbacks_.make_handshake_request) {
-    const std::vector<uint8_t> request = callbacks_.make_handshake_request();
-    auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[request.size()]);
-    std::memcpy(payload.get(), request.data(), request.size());
-    {
-      std::lock_guard<std::mutex> lock(write_mutex_);
-      writer_.Enqueue(std::move(payload),
-                      static_cast<uint32_t>(request.size()));
-    }
+    EnqueueHandshake(callbacks_.make_handshake_request());
   }
   FlushWriter();
 }
@@ -288,12 +281,7 @@ void Link::HandshakeReadable() {
     const bool accepted = callbacks_.on_handshake_request &&
                           callbacks_.on_handshake_request(
                               handshake_buf_.data(), length, &reply);
-    if (!reply.empty()) {
-      auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[reply.size()]);
-      std::memcpy(payload.get(), reply.data(), reply.size());
-      std::lock_guard<std::mutex> lock(write_mutex_);
-      writer_.Enqueue(std::move(payload), static_cast<uint32_t>(reply.size()));
-    }
+    if (!reply.empty()) EnqueueHandshake(reply);
     if (accepted) {
       EnterEstablished();
     } else {
@@ -370,21 +358,53 @@ void Link::PeekForEof() {
   CloseOnLoop(true);
 }
 
+void Link::EnqueueHandshake(const std::vector<uint8_t>& frame) {
+  auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[frame.size()]);
+  std::memcpy(payload.get(), frame.data(), frame.size());
+  enqueued_.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(write_mutex_);
+  writer_.Enqueue(std::move(payload), static_cast<uint32_t>(frame.size()));
+}
+
 bool Link::EnqueueFrame(std::shared_ptr<const uint8_t[]> payload,
                         uint32_t size) {
+  return Enqueue(std::move(payload), size, /*write_through=*/false).dropped;
+}
+
+Link::WriteResult Link::WriteThrough(const OutFrame& frame) {
+  return Enqueue(frame.payload, frame.raw, /*write_through=*/true);
+}
+
+Link::WriteResult Link::Enqueue(std::shared_ptr<const uint8_t[]> payload,
+                                uint32_t size, bool write_through) {
   enqueued_.fetch_add(1, std::memory_order_relaxed);
-  if (state() == State::kClosed) {
-    evicted_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  bool evicted;
+  WriteResult result;
   {
+    // The state is read under the lock CloseOnLoop flips it under: a frame
+    // either lands before the close (and is counted sent or stranded) or
+    // sees kClosed (and is counted evicted) — and a write-through never
+    // reaches a closed fd.
     std::lock_guard<std::mutex> lock(write_mutex_);
-    evicted = writer_.Enqueue(std::move(payload), size,
-                              options_.max_pending_frames);
+    const State s = state();
+    if (s == State::kClosed) {
+      result.dropped = true;
+    } else {
+      const bool send = write_through && !submit_mode_ &&
+                        s == State::kEstablished && !writer_.HasPending();
+      result.dropped =
+          writer_.Enqueue(std::move(payload), size, options_.max_pending_frames);
+      result.queued = true;
+      if (send) {
+        // A failed send leaves the frame queued; the loop's flush hits
+        // the same error and closes the link.
+        (void)writer_.Flush(conn_);
+        sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
+        result.queued = writer_.HasPending();
+      }
+    }
   }
-  if (evicted) evicted_.fetch_add(1, std::memory_order_relaxed);
-  return evicted;
+  if (result.dropped) evicted_.fetch_add(1, std::memory_order_relaxed);
+  return result;
 }
 
 void Link::FlushOnLoop() {
@@ -568,11 +588,6 @@ void Link::CloseSync() {
 
 void Link::CloseOnLoop(bool notify) {
   if (state() == State::kClosed) return;
-  state_.store(State::kClosed, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    stranded_.store(writer_.PendingFrames(), std::memory_order_relaxed);
-  }
   // Remove BEFORE close: on a submission backend this synchronously
   // cancels every SQE targeting the fd (and drops the completion
   // closures) — closing first would leave in-flight SQEs holding the file
@@ -581,8 +596,15 @@ void Link::CloseOnLoop(bool notify) {
     loop_->Remove(conn_.fd());
     registered_ = false;
   }
+  {
+    // Flip and close under the lock WriteThrough sends under: a producer
+    // either finished its send before this point or sees kClosed.
+    std::lock_guard<std::mutex> lock(write_mutex_);
+    state_.store(State::kClosed, std::memory_order_release);
+    stranded_.store(writer_.PendingFrames(), std::memory_order_relaxed);
+    conn_.Close();
+  }
   ReleaseLoopSlot();
-  conn_.Close();
   if (notify && callbacks_.on_closed) callbacks_.on_closed(shared_from_this());
   // Release the callbacks (they capture the owner: Link ⇄ owner cycle).
   // Deferred via Post: CloseOnLoop may be running INSIDE one of these

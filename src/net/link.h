@@ -13,10 +13,14 @@
 //      Closed ◀──────────────────────── error ◀──reply flushed──┘  Closed
 //
 // Every state transition, every callback, and all reader-side state run on
-// ONE EventLoop thread; the only cross-thread entry points are
-// EnqueueFrame (mutex-guarded writer queue — producers never touch the
-// socket) and CloseSync (RunSync teardown: after it returns, no callback
-// will run again, which is what lets owners destroy captured state).
+// ONE EventLoop thread; the cross-thread entry points are EnqueueFrame and
+// WriteThrough (the mutex-guarded writer queue) and CloseSync (RunSync
+// teardown: after it returns, no callback will run again, which is what
+// lets owners destroy captured state).  WriteThrough is the one place a
+// producer touches the socket: on an idle established readiness-driven
+// link it sends its frame itself, under write_mutex_ — the same lock
+// CloseOnLoop flips the state and closes the fd under, so a producer
+// never sends on a closed or reused descriptor (DESIGN.md §8).
 //
 // The handshake is pluggable: Link moves handshake *frames*; the owner
 // supplies encode/validate callbacks (TCPROS connection headers live in
@@ -139,15 +143,28 @@ class Link : public std::enable_shared_from_this<Link> {
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 
-  /// Queues one outgoing frame (thread-safe; producers call this).  Returns
-  /// true when the frame will never reach the wire — an older frame was
-  /// evicted (drop-oldest at max_pending_frames) or the link is already
-  /// closed — so callers can count drops.  Frames do not start moving until
-  /// someone kicks FlushOnLoop (publication coalesces one kick per burst).
+  /// Queues one outgoing frame (thread-safe).  Returns true when a frame
+  /// will never reach the wire — an older frame was evicted (drop-oldest
+  /// at max_pending_frames) or the link is already closed — so callers can
+  /// count drops.  Frames queued here do not move until someone kicks
+  /// FlushOnLoop (publication coalesces one kick per burst).
   bool EnqueueFrame(std::shared_ptr<const uint8_t[]> payload, uint32_t size);
   bool EnqueueFrame(const OutFrame& frame) {
     return EnqueueFrame(frame.payload, frame.raw);
   }
+
+  struct WriteResult {
+    bool dropped = false;  // as EnqueueFrame's return value
+    bool queued = false;   // frames wait in the queue: kick FlushOnLoop
+  };
+  /// Producer-side enqueue-and-send (thread-safe).  Queues the frame and,
+  /// when the link is established, readiness-driven (epoll) and its queue
+  /// was empty before this frame, writes it from the calling thread: one
+  /// nonblocking gathered sendmsg, FrameWriter::Flush.  Anything else —
+  /// a backlog, EAGAIN or a partial write, a send error (the loop's flush
+  /// rediscovers it and closes), a submission-mode (uring) link — leaves
+  /// frames queued, and `queued` tells the caller to kick the loop.
+  WriteResult WriteThrough(const OutFrame& frame);
 
   /// Flushes the writer queue as far as the socket allows and re-arms
   /// interest.  Loop-thread-only (RunInLoop a kick from producers).
@@ -178,6 +195,9 @@ class Link : public std::enable_shared_from_this<Link> {
     return state() == State::kEstablished;
   }
 
+  /// Every frame the writer accepted ends up in exactly one bucket:
+  /// frames_enqueued == frames_sent + frames_evicted + frames_stranded
+  /// once the link is closed.  Handshake frames count like app frames.
   struct Stats {
     uint64_t frames_enqueued = 0;
     uint64_t frames_evicted = 0;  // drop-oldest + enqueue-after-close
@@ -210,6 +230,10 @@ class Link : public std::enable_shared_from_this<Link> {
   void PeekForEof();
   void FlushWriter();
   void CloseOnLoop(bool notify);
+  WriteResult Enqueue(std::shared_ptr<const uint8_t[]> payload, uint32_t size,
+                      bool write_through);
+  /// Queues a handshake frame (loop thread, pre-established).
+  void EnqueueHandshake(const std::vector<uint8_t>& frame);
 
   // Completion-mode drivers (submission backends, net/io_backend.h):
   // instead of readiness events, one recv SQE and one send submission are
@@ -228,7 +252,11 @@ class Link : public std::enable_shared_from_this<Link> {
   const Options options_;
   Callbacks callbacks_;
   Role role_ = Role::kServer;
+  // Loop-confined, except that WriteThrough sends on it under
+  // write_mutex_; CloseOnLoop closes it under the same lock.
   TcpConnection conn_;
+  // Written on the loop thread; the transition to kClosed happens under
+  // write_mutex_ so a locked reader sees a state consistent with conn_.
   std::atomic<State> state_{State::kClosed};
 
   // True when the loop's backend carries I/O by submission (io_uring):

@@ -102,6 +102,7 @@ void EventLoop::Wakeup() {
   const uint64_t one = 1;
   // A full eventfd counter (impossible here) or EINTR just means the loop
   // is already due to wake; ignore short writes.
+  backend_counters::AddWakeupWrites(1);
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
@@ -241,9 +242,12 @@ void EventLoop::Run() {
     for (const ReadyEvent& event : events) {
       const int fd = event.fd;
       if (fd == wake_fd_) {
+        // One read resets the whole eventfd counter, however many kicks
+        // it summed; a kick landing after it re-arms readiness.
         uint64_t drained;
-        while (::read(wake_fd_, &drained, sizeof(drained)) > 0) {
-        }
+        backend_counters::AddWakeupReads(1);
+        [[maybe_unused]] const ssize_t n =
+            ::read(wake_fd_, &drained, sizeof(drained));
         continue;
       }
       if (fd == timer_fd_) {

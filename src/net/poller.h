@@ -185,6 +185,10 @@ class Reactor {
   /// actual occupancy instead.
   EventLoop* NextLoop();
   [[nodiscard]] size_t NumLoops() const noexcept { return loops_.size(); }
+  /// The loop at `index` (< NumLoops()): tests that hold every loop busy.
+  [[nodiscard]] EventLoop* Loop(size_t index) const noexcept {
+    return loops_[index].get();
+  }
 
  private:
   Reactor();

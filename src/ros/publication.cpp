@@ -282,8 +282,8 @@ void Publication::OnLinkEstablished(
     mcast_lanes_.push_back(std::move(lane));
   } else {
     lanes_.push_back(std::move(lane));
-    lane_view_.reset();
   }
+  lane_view_.reset();
   wire_lane_count_.fetch_add(1, std::memory_order_release);
   if (ctx->shm_negotiated) {
     shm_lane_count_.fetch_add(1, std::memory_order_release);
@@ -305,8 +305,8 @@ void Publication::OnLinkClosed(const std::shared_ptr<rsf::net::Link>& link,
       // lanes_ (and already left the mcast census when it fell back).
       const size_t from_cohort = std::erase(mcast_lanes_, ctx->lane);
       const size_t from_lanes = std::erase(lanes_, ctx->lane);
-      if (from_lanes > 0) lane_view_.reset();
       if (from_cohort + from_lanes > 0) {
+        lane_view_.reset();
         wire_lane_count_.fetch_sub(1, std::memory_order_release);
         if (ctx->shm_negotiated) {
           shm_lane_count_.fetch_sub(1, std::memory_order_release);
@@ -370,39 +370,57 @@ void Publication::Publish(SerializedMessage message) {
   Publish(std::move(ctx));
 }
 
-void Publication::OfferToLanes(const PublishContext& ctx) {
+void Publication::RebuildLaneView() {
+  auto view = std::make_shared<LaneView>();
+  view->lanes = lanes_;
+  const size_t wire_lanes = std::count_if(
+      lanes_.begin(), lanes_.end(),
+      [](const std::shared_ptr<TransportLane>& lane) {
+        return lane->Describe().kind != LaneKind::kIntra;
+      });
+  // One wire lane only: the publish thread's sendmsg is then the whole
+  // wire cost of the publish.  Writing through on N lanes runs N sendmsg
+  // calls serially inside publish() — it took the tcp fan-out's publish
+  // p50 at 1024 links from 193 µs to 8.9 ms (DESIGN.md §8) — so with more
+  // lanes the loop sends.
+  view->write_through = wire_lanes == 1 && mcast_lanes_.empty();
+  lane_view_ = std::move(view);
+}
+
+void Publication::OfferToLanes(PublishContext& ctx) {
   // One reference on the immutable lane array, taken under the lock; the
   // offers run outside it: an in-process lane may run the subscriber
   // callback inline (on this thread), and that callback is free to
   // publish, subscribe, or shut down — none of which may deadlock here,
   // and none of which changes the array this publish iterates.
-  std::shared_ptr<const LaneArray> lanes;
+  std::shared_ptr<const LaneView> view;
   std::shared_ptr<McastGroupSender> mcast_sender;
   size_t mcast_members = 0;
   {
     std::lock_guard<std::mutex> lock(links_mutex_);
-    if (lane_view_ == nullptr) {
-      lane_view_ = std::make_shared<const LaneArray>(lanes_);
-    }
-    lanes = lane_view_;
+    if (lane_view_ == nullptr) RebuildLaneView();
+    view = lane_view_;
     mcast_members = mcast_lanes_.size();
     if (mcast_members > 0) mcast_sender = mcast_sender_;
   }
+  ctx.write_through = view->write_through;
   LaneTally tally;
   // The whole mcast cohort costs O(1) here: one staged burst (the loop
   // thread sends it — on loopback the kernel replicates a datagram to
   // every member inside sendmsg, which must never run on a publish
   // thread) and one bulk enqueued count.  This is the tier's point:
   // publish cost is independent of how many subscribers share the group.
-  if (ctx.has_wire() && mcast_sender != nullptr) {
+  const bool staged = ctx.has_wire() && mcast_sender != nullptr;
+  if (staged) {
     tally.enqueued += mcast_members;
     mcast_sender->Stage(ctx.payload.data,
                         static_cast<uint32_t>(ctx.payload.size));
   }
-  if (lanes->empty() && mcast_sender == nullptr) return;
+  const LaneArray& lanes = view->lanes;
+  if (lanes.empty() && mcast_sender == nullptr) return;
 
   std::vector<const TransportLane*> dead;
-  for (const auto& lane : *lanes) {
+  for (const auto& lane : lanes) {
     if (!lane->Offer(ctx, &tally)) dead.push_back(lane.get());
   }
   counters_.Add(tally, ctx.intra_tier);
@@ -421,7 +439,9 @@ void Publication::OfferToLanes(const PublishContext& ctx) {
     }
   }
 
-  if (!ctx.has_wire()) return;
+  // A written-through frame needs no loop: kick only for frames a lane
+  // left queued and for a staged cohort burst.
+  if (!tally.queued && !staged) return;
   // Coalesced wake-up: back-to-back publishes share one loop task.  The
   // flag resets BEFORE flushing so a publish racing with the flush always
   // either lands its frames in a writer the flush is about to drain, or
@@ -462,6 +482,7 @@ void Publication::SweepMcastLanes() {
                     evicted.push_back(lane);
                     return true;
                   });
+    if (!evicted.empty()) lane_view_.reset();
   }
   for (const auto& lane : evicted) {
     wire_lane_count_.fetch_sub(1, std::memory_order_release);

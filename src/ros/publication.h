@@ -28,6 +28,12 @@
 // subscribe or unsubscribe; a membership change shows from the next
 // publish on.  Outcomes fold into the counters after the loop: Stats()
 // read inside an inline callback misses the publish in progress.
+//
+// Who sends (DESIGN.md §8): when the array holds exactly one wire lane
+// and no mcast cohort, the publishing thread writes that lane's frame to
+// the socket itself if the link is idle.  Every other case — more wire
+// lanes, a cohort, a backlog or short write, the uring backend — queues
+// the frames and kicks the loop once; the loop thread sends them.
 #pragma once
 
 #include <atomic>
@@ -183,12 +189,23 @@ class Publication : public std::enable_shared_from_this<Publication> {
   /// publication instead of re-probing every handshake.  Loop-thread-only.
   std::shared_ptr<McastGroupSender> EnsureMcastSender();
 
-  /// Offers a finalized context to the current lane array, culling dead
+  /// The immutable publish view of lanes_ (copy-on-write).
+  struct LaneView {
+    LaneArray lanes;
+    /// Exactly one wire lane and no mcast cohort: the publish thread may
+    /// send that lane's frame itself (PublishContext::write_through).
+    bool write_through = false;
+  };
+
+  /// Offers a finalized context to the current lane view, culling dead
   /// in-process lanes, stages ONE group burst for the whole mcast cohort
   /// (O(1) on the publish thread regardless of cohort size), folds the
-  /// publish's tally into counters_, then kicks the loop once for the
-  /// wire lanes.
-  void OfferToLanes(const PublishContext& ctx);
+  /// publish's tally into counters_, then kicks the loop once if a wire
+  /// lane left frames queued or a burst was staged.
+  void OfferToLanes(PublishContext& ctx);
+
+  /// Rebuilds lane_view_ from lanes_ and the cohort.  Under links_mutex_.
+  void RebuildLaneView();
 
   /// Loop-thread liveness sweep over the mcast cohort after a flush kick:
   /// culls (and closes) lanes whose subscriber provably stopped acking.
@@ -258,10 +275,10 @@ class Publication : public std::enable_shared_from_this<Publication> {
   std::vector<PendingWire> pending_wire_;
   std::vector<std::shared_ptr<TransportLane>> pending_intra_;
   LaneArray lanes_;
-  // Immutable publish view of lanes_ (copy-on-write): every lanes_ change
-  // resets it and the next publish rebuilds it — lazily, so N joins cost
-  // one O(N) copy, not O(N²).
-  std::shared_ptr<const LaneArray> lane_view_;
+  // Immutable publish view of lanes_ (copy-on-write): every lanes_ or
+  // cohort change resets it and the next publish rebuilds it — lazily, so
+  // N joins cost one O(N) copy, not O(N²).
+  std::shared_ptr<const LaneView> lane_view_;
   // The mcast cohort, OUTSIDE the per-publish fan-out: Publish stages one
   // burst for all of them (and bulk-counts enqueued), so publish-call cost
   // is independent of how many subscribers share the group.  A lane moves

@@ -51,6 +51,20 @@ class IntraLane final : public TransportLane {
   const std::shared_ptr<IntraLinkBase> link_;
 };
 
+/// Hands one publish's frame to a wire lane's link: written through from
+/// the publishing thread when the fan-out allows it (DESIGN.md §8), else
+/// queued for the loop kick.  Returns true when a frame was dropped.
+bool SendOrQueue(rsf::net::Link& link, const rsf::net::OutFrame& frame,
+                 const PublishContext& ctx, LaneTally* tally) {
+  if (!ctx.write_through) {
+    tally->queued = true;
+    return link.EnqueueFrame(frame);
+  }
+  const rsf::net::Link::WriteResult result = link.WriteThrough(frame);
+  tally->queued |= result.queued;
+  return result.dropped;
+}
+
 /// Plain TCP delivery: the pre-built wire frame goes onto the link's
 /// drop-oldest queue (one shared_ptr copy, never a payload copy).
 class TcpLane final : public TransportLane {
@@ -61,7 +75,7 @@ class TcpLane final : public TransportLane {
   bool Offer(const PublishContext& ctx, LaneTally* tally) override {
     if (!ctx.has_wire()) return true;
     ++tally->enqueued;
-    if (link_->EnqueueFrame(ctx.wire)) ++tally->dropped;
+    if (SendOrQueue(*link_, ctx.wire, ctx, tally)) ++tally->dropped;
     return true;
   }
 
@@ -131,7 +145,7 @@ class ShmLane final : public TransportLane {
     }
 
     if (via_descriptor) {
-      if (link_->EnqueueFrame(ctx.descriptor)) {
+      if (SendOrQueue(*link_, ctx.descriptor, ctx, tally)) {
         ++tally->dropped;
       } else {
         ++tally->shm_descriptors;
@@ -142,7 +156,7 @@ class ShmLane final : public TransportLane {
     }
     // Inline fallback on a negotiated lane: heap-backed payload, tier
     // below threshold, or the subscriber left the tier.
-    if (link_->EnqueueFrame(ctx.wire)) {
+    if (SendOrQueue(*link_, ctx.wire, ctx, tally)) {
       ++tally->dropped;
     } else {
       ++tally->shm_inline;
@@ -266,7 +280,7 @@ class McastLane final : public TransportLane {
     // burst covers this publish and its accounting.
     if (!tcp_fallback_.load(std::memory_order_acquire)) return true;
     ++tally->enqueued;
-    if (link_->EnqueueFrame(ctx.wire)) ++tally->dropped;
+    if (SendOrQueue(*link_, ctx.wire, ctx, tally)) ++tally->dropped;
     return true;
   }
 

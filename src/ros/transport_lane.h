@@ -35,8 +35,10 @@
 //                    unit mirroring the DESIGN.md §12.4 matrix.
 //
 // Threading: Offer() is called from publisher threads (any number,
-// concurrently); OnControlFrame/Close/Flush are loop-thread-only, like the
-// Link callbacks that drive them.  Describe() is thread-safe.
+// concurrently) — and a single-wire-lane fan-out's Offer sends on the
+// socket itself (Link::WriteThrough); OnControlFrame/Close/Flush are
+// loop-thread-only, like the Link callbacks that drive them.  Describe()
+// is thread-safe.
 #pragma once
 
 #include <sys/types.h>
@@ -81,6 +83,11 @@ struct PublishContext {
   const void* intra = nullptr;
   IntraTier intra_tier = IntraTier::kWholeCopy;
 
+  /// Set by Publication when the fan-out holds exactly one wire lane and
+  /// no mcast cohort: that lane sends from the publishing thread
+  /// (Link::WriteThrough) instead of waiting for the loop kick.
+  bool write_through = false;
+
   [[nodiscard]] bool has_wire() const noexcept { return payload.valid(); }
   [[nodiscard]] bool has_intra() const noexcept { return intra != nullptr; }
   [[nodiscard]] bool empty() const noexcept {
@@ -96,6 +103,7 @@ struct LaneTally {
   uint64_t intra_delivered = 0;  // tier split per publish, in Add
   uint64_t shm_descriptors = 0;
   uint64_t shm_inline = 0;
+  bool queued = false;  // a wire lane left frames for the loop kick
 };
 
 /// The publication's delivery counters: per-publish tallies fold in via
@@ -139,10 +147,11 @@ class TransportLane {
   virtual ~TransportLane() = default;
 
   /// Offers one prepared publish to this lane, counting the outcome into
-  /// `tally`.  Returns false when the lane is dead and should be culled
-  /// from the fan-out (in-process subscriber gone); wire lanes always
-  /// return true — their lifecycle is driven by Link callbacks, not by
-  /// publish outcomes.
+  /// `tally`; a wire lane that leaves frames queued sets `tally->queued`
+  /// so the publication kicks the loop.  Returns false when the lane is
+  /// dead and should be culled from the fan-out (in-process subscriber
+  /// gone); wire lanes always return true — their lifecycle is driven by
+  /// Link callbacks, not by publish outcomes.
   virtual bool Offer(const PublishContext& ctx, LaneTally* tally) = 0;
 
   /// A control frame arrived on this lane's link (`data` is the staged

@@ -226,7 +226,8 @@ TEST_P(IoBackendLoop, SubmissionBatchingCutsSyscallsPerDelivery) {
       static_cast<double>(after.TotalSyscalls() - before.TotalSyscalls());
   const double per_delivery = syscalls / deliveries;
   RSF_INFO("backend %s: %.2f transport syscalls per delivered frame "
-           "(enter %llu, epoll_wait %llu, sendmsg %llu, recv %llu)",
+           "(enter %llu, epoll_wait %llu, sendmsg %llu, recv %llu, "
+           "wakeup write %llu, wakeup read %llu)",
            loop.backend_name(), per_delivery,
            static_cast<unsigned long long>(after.enter_calls -
                                            before.enter_calls),
@@ -235,7 +236,11 @@ TEST_P(IoBackendLoop, SubmissionBatchingCutsSyscallsPerDelivery) {
            static_cast<unsigned long long>(after.sendmsg_calls -
                                            before.sendmsg_calls),
            static_cast<unsigned long long>(after.recv_calls -
-                                           before.recv_calls));
+                                           before.recv_calls),
+           static_cast<unsigned long long>(after.wakeup_writes -
+                                           before.wakeup_writes),
+           static_cast<unsigned long long>(after.wakeup_reads -
+                                           before.wakeup_reads));
 
   if (GetParam() == IoBackendKind::kUring) {
     // Submission mode: no sendmsg/recv syscalls at all on the data path,

@@ -8,6 +8,7 @@
 // same tests exercise the completion-mode recv/send drivers instead of
 // readiness + per-link syscalls.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstring>
@@ -536,6 +537,86 @@ TEST_P(LinkTest, LargeFramesSurvivePartialSendsAndReleaseHolders) {
   release_peer.store(true);
   client.join();
   link->CloseSync();
+}
+
+TEST_P(LinkTest, ProducerWriteThroughRacesClose) {
+  // Four producers write through to one link while its peer resets and the
+  // loop closes the link.  WriteThrough reads the state and sends under the
+  // lock CloseOnLoop flips the state and closes the fd under, so a producer
+  // never sends on a closed or reused descriptor (the tsan job reports such
+  // an fd race), and every frame lands in exactly one bucket.  Under uring
+  // nothing is written through: every frame rides the loop kick.
+  constexpr int kRounds = 200;
+  constexpr int kProducers = 4;
+  constexpr int kFramesPerProducer = 32;
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  const uint16_t port = listener->port();
+
+  LinkHarness harness(GetParam());
+  const auto bytes = PatternPayload(512);
+  const OutFrame frame{SharedCopy(bytes), static_cast<uint32_t>(bytes.size())};
+  Link::Options options;
+  options.max_pending_frames = 16;  // exercise drop-oldest too
+
+  for (int round = 0; round < kRounds; ++round) {
+    std::thread peer([&, round] {
+      auto conn = TcpConnection::Connect("127.0.0.1", port);
+      ASSERT_TRUE(conn.ok());
+      ASSERT_TRUE(WriteFrame(*conn, Bytes("subscribe-me")).ok());
+      std::vector<uint8_t> buf;
+      const FrameAllocator alloc = [&](uint32_t len) {
+        buf.resize(len == 0 ? 1 : len);
+        return buf.data();
+      };
+      uint32_t length = 0;
+      ASSERT_TRUE(ReadFrame(*conn, alloc, &length).ok());  // the reply
+      // Take a few frames (none on some rounds), then reset: SO_LINGER 0
+      // turns the close into an RST.
+      for (int i = 0; i < round % 4; ++i) {
+        if (!ReadFrame(*conn, alloc, &length).ok()) break;
+      }
+      const linger reset{1, 0};
+      ::setsockopt(conn->fd(), SOL_SOCKET, SO_LINGER, &reset, sizeof(reset));
+      conn->Close();
+    });
+
+    auto conn = listener->Accept();
+    ASSERT_TRUE(conn.ok());
+    auto link = Link::Accepted(*std::move(conn), &harness.loop, options,
+                               AcceptingServerCallbacks(harness));
+    ASSERT_TRUE(
+        WaitFor([&] { return harness.established.load() == round + 1; }));
+
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&] {
+        for (int i = 0; i < kFramesPerProducer; ++i) {
+          if (link->WriteThrough(frame).queued) {
+            harness.loop.RunInLoop([link] { link->FlushOnLoop(); });
+          }
+        }
+      });
+    }
+    for (auto& producer : producers) producer.join();
+    peer.join();
+    // The reset closes the link from the loop; CloseSync is the backstop.
+    WaitFor([&] { return link->state() == Link::State::kClosed; });
+    link->CloseSync();
+
+    const Link::Stats stats = link->stats();
+    // +1: the handshake reply went through the same writer.
+    EXPECT_EQ(stats.frames_enqueued,
+              static_cast<uint64_t>(kProducers * kFramesPerProducer) + 1)
+        << "round " << round;
+    EXPECT_EQ(stats.frames_enqueued, stats.frames_sent +
+                                         stats.frames_evicted +
+                                         stats.frames_stranded)
+        << "round " << round << ": sent " << stats.frames_sent
+        << " evicted " << stats.frames_evicted << " stranded "
+        << stats.frames_stranded;
+    if (HasFailure()) return;
+  }
 }
 
 TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {

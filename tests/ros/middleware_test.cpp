@@ -44,6 +44,43 @@ size_t CountProcessThreads() {
   return count;
 }
 
+/// Holds every reactor loop inside a blocking RunSync task until the latch
+/// goes out of scope: no flush kick, receive or other loop-thread work can
+/// run meanwhile.
+class LoopLatch {
+ public:
+  LoopLatch() {
+    rsf::net::Reactor& reactor = rsf::net::Reactor::Get();
+    for (size_t i = 0; i < reactor.NumLoops(); ++i) {
+      holders_.emplace_back([this, loop = reactor.Loop(i)] {
+        loop->RunSync([this] {
+          std::unique_lock<std::mutex> lock(mutex_);
+          ++held_;
+          cv_.notify_all();
+          cv_.wait(lock, [this] { return released_; });
+        });
+      });
+    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return held_ == holders_.size(); });
+  }
+  ~LoopLatch() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      released_ = true;
+    }
+    cv_.notify_all();
+    for (auto& holder : holders_) holder.join();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  size_t held_ = 0;        // guarded by mutex_
+  bool released_ = false;  // guarded by mutex_
+  std::vector<std::thread> holders_;
+};
+
 class MiddlewareTest : public ::testing::Test {
  protected:
   void TearDown() override { ros::master().Reset(); }
@@ -485,6 +522,67 @@ TEST_F(MiddlewareTest, RegularTcpReceiveReusesScratchAcrossFrames) {
             static_cast<uint64_t>(kMessages - 1));
   EXPECT_EQ(ros::shim::deserialize_copies.load() - copies_before,
             static_cast<uint64_t>(kMessages));
+}
+
+TEST_F(MiddlewareTest, SingleWireLanePublishWritesThrough) {
+  // One wire subscriber: the publishing thread sends the frame itself —
+  // it reaches the socket even while every reactor loop is held busy, and
+  // a steady-state publish wakes no loop.  Two wire subscribers: the
+  // publish only queues, and the loop sends once it is free.  Uring links
+  // never write through; there every publish rides the loop kick.
+  ros::NodeHandle pub_node("pub");
+  ros::NodeHandle sub_node("sub");
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+  options.allow_intra_process = false;  // force the wire
+  options.allow_shm = false;    // plain TCP lanes, whatever the CI job's
+  options.allow_mcast = false;  // tier env says
+  std::atomic<int> got{0};
+  const auto callback = [&](const std_msgs::String::ConstPtr&) { got++; };
+  auto first = sub_node.subscribe<std_msgs::String>("/write_through", 10,
+                                                    callback, options);
+  auto pub = pub_node.advertise<std_msgs::String>("/write_through", 10);
+  ASSERT_TRUE(WaitFor([&] { return pub.getNumSubscribers() == 1; }));
+  const bool uring = std::string(rsf::net::Reactor::Get().Loop(0)
+                                     ->backend_name()) == "uring";
+  std_msgs::String msg;
+  msg.data = "through";
+
+  constexpr int kMessages = 16;
+  const rsf::net::IoSyscallCounters before = rsf::net::GlobalIoCounters();
+  for (int i = 0; i < kMessages; ++i) {
+    pub.publish(msg);
+    ASSERT_TRUE(WaitFor([&] { return got.load() == i + 1; }));
+  }
+  const rsf::net::IoSyscallCounters after = rsf::net::GlobalIoCounters();
+  if (uring) {
+    EXPECT_GE(after.wakeup_writes - before.wakeup_writes,
+              static_cast<uint64_t>(kMessages));
+  } else {
+    EXPECT_EQ(after.wakeup_writes - before.wakeup_writes, 0u);
+    EXPECT_EQ(after.sendmsg_calls - before.sendmsg_calls,
+              static_cast<uint64_t>(kMessages));
+  }
+
+  {
+    LoopLatch latch;
+    const uint64_t sends = rsf::net::WriteSyscallCount();
+    pub.publish(msg);
+    EXPECT_EQ(rsf::net::WriteSyscallCount() - sends, uring ? 0u : 1u);
+  }
+  ASSERT_TRUE(WaitFor([&] { return got.load() == kMessages + 1; }));
+
+  auto second = sub_node.subscribe<std_msgs::String>("/write_through", 10,
+                                                     callback, options);
+  ASSERT_TRUE(WaitFor([&] { return pub.getNumSubscribers() == 2; }));
+  const uint64_t sends = rsf::net::WriteSyscallCount();
+  {
+    LoopLatch latch;
+    pub.publish(msg);
+    EXPECT_EQ(rsf::net::WriteSyscallCount(), sends);
+  }
+  ASSERT_TRUE(WaitFor([&] { return got.load() == kMessages + 3; }));
+  if (!uring) EXPECT_GE(rsf::net::WriteSyscallCount() - sends, 2u);
 }
 
 TEST_F(MiddlewareTest, TransportThreadCountIndependentOfLinkCount) {
