@@ -65,8 +65,16 @@ class IntraLinkBase {
 
   /// Delivers one message: `message` points at the publisher's
   /// shared_ptr<const M>, borrowed for this call only (copy it to keep
-  /// it).  Returns false if the subscriber is gone; the publication then
-  /// culls the link.
+  /// it).  Returns false once the subscriber has shut down; the
+  /// publication then counts a drop and culls the link.
+  ///
+  /// Ownership contract: the link keeps its subscriber alive (a plain
+  /// owning pointer, no per-delivery locking), so the lane holding the
+  /// link — in the publication's lane array or in the lane view of a
+  /// publish in flight — is what makes Deliver safe, including from a
+  /// callback that drops the subscriber's last user handle.  The subscriber
+  /// breaks the resulting cycle in its Shutdown by unhooking the link
+  /// (Publication::RemoveIntraLink).
   virtual bool Deliver(const void* message, IntraTier tier) = 0;
 
   /// False once the subscriber shut down (used for counting and culling).

@@ -129,7 +129,12 @@ class Publisher {
   std::shared_ptr<Publication> impl_;
 };
 
-/// Handle to a subscription; copyable, reference-counted.
+/// Handle to a subscription; copyable, reference-counted.  The copies share
+/// one owner, and the last one to go runs Subscription::Shutdown before
+/// releasing the subscription (roscpp semantics).  Shutdown is what frees
+/// it: each in-process lane holds its subscription strongly
+/// (subscription.h), so the subscription outlives its last handle only
+/// while a publish that already took its lane is in flight.
 class Subscriber {
  public:
   Subscriber() = default;
@@ -165,8 +170,14 @@ class Subscriber {
 
  private:
   friend class NodeHandle;
-  explicit Subscriber(std::shared_ptr<SubscriptionBase> impl)
-      : impl_(std::move(impl)) {}
+  explicit Subscriber(std::shared_ptr<SubscriptionBase> subscription) {
+    SubscriptionBase* raw = subscription.get();
+    impl_ = std::shared_ptr<SubscriptionBase>(
+        raw, [owned = std::move(subscription)](SubscriptionBase*) mutable {
+          owned->Shutdown();
+          owned.reset();
+        });
+  }
   std::shared_ptr<SubscriptionBase> impl_;
 };
 

@@ -81,11 +81,18 @@ struct SubscribeOptions {
 
 /// Type-erased base so NodeHandle / Subscriber handles can own any
 /// Subscription<M>.
+///
+/// Delivery counters: a delivery is counted once, as a wire delivery (tcp,
+/// shm or mcast) or in its in-process tier, so
+///   ReceivedCount() == wire + IntraZeroCopyCount() + IntraWholeCopyCount()
+/// and ShmZeroCopyCount() is the part of the wire count the shm tier
+/// carried.
 class SubscriptionBase {
  public:
   virtual ~SubscriptionBase() = default;
   virtual void Shutdown() = 0;
   [[nodiscard]] virtual const std::string& topic() const = 0;
+  /// Every delivery on every transport: wire + both in-process tiers.
   [[nodiscard]] virtual uint64_t ReceivedCount() const = 0;
   [[nodiscard]] virtual uint64_t DroppedCount() const = 0;
   [[nodiscard]] virtual size_t NumPublishers() const = 0;
@@ -122,7 +129,12 @@ class Subscription final
         [weak](const TopicEndpoint& endpoint) {
           if (auto self = weak.lock()) self->OnPublisher(endpoint);
         });
-    if (!id.ok()) return id.status();
+    if (!id.ok()) {
+      // Nothing owns this subscription through a handle yet: break any
+      // in-process link cycle here, as the handle would.
+      subscription->Shutdown();
+      return id.status();
+    }
     subscription->master_id_ = *id;
     return subscription;
   }
@@ -161,6 +173,9 @@ class Subscription final
     // Unhook from publications outside links_mutex_: RemoveIntraLink takes
     // the publication's lane lock (a publish holds it only to take its
     // lane array, never while delivering) — still, never nest ours in it.
+    // Dropping `intra` then breaks the intra_links_ <-> IntraLink cycle; a
+    // publish already in flight keeps its lane, and with it this object,
+    // until its fan-out returns.
     for (const auto& [link, publication] : intra) {
       if (auto pub = publication.lock()) pub->RemoveIntraLink(link.get());
     }
@@ -168,7 +183,8 @@ class Subscription final
 
   [[nodiscard]] const std::string& topic() const override { return topic_; }
   [[nodiscard]] uint64_t ReceivedCount() const override {
-    return received_.load(std::memory_order_relaxed);
+    return received_.load(std::memory_order_relaxed) + IntraZeroCopyCount() +
+           IntraWholeCopyCount();
   }
   [[nodiscard]] uint64_t DroppedCount() const override {
     return pending_.DroppedCount();
@@ -242,30 +258,31 @@ class Subscription final
   };
 
   /// The subscriber end of one in-process link.  Holds the subscription
-  /// weakly: a dead subscriber makes Deliver return false, and the
-  /// publication culls the link.
+  /// strongly: the publication's lane array — and the lane view of any
+  /// publish in flight — keeps the subscriber alive across a delivery,
+  /// even one whose callback drops the last user handle, so Deliver is a
+  /// plain call with no reference counting.  The ownership cycle this
+  /// makes (intra_links_ -> IntraLink -> Subscription) is broken by
+  /// Shutdown, which the last user handle runs (node_handle.h): it drops
+  /// intra_links_ and unhooks the lane from the publication.  A shut-down
+  /// subscription refuses deliveries, and the publication culls the lane.
   class IntraLink final : public IntraLinkBase {
    public:
-    IntraLink(std::weak_ptr<Subscription> subscription, std::string md5,
+    IntraLink(std::shared_ptr<Subscription> subscription, std::string md5,
               std::string callerid)
         : subscription_(std::move(subscription)),
           md5_(std::move(md5)),
           callerid_(std::move(callerid)) {}
 
     bool Deliver(const void* message, IntraTier tier) override {
-      // The lock is what makes a delivery racing Shutdown safe.
-      auto self = subscription_.lock();
-      if (self == nullptr) return false;
       // The cast back to M is safe: AddIntraLink only accepted this link
       // after matching the negotiated transport checksum.
-      return self->DeliverIntra(*static_cast<const MessagePtr*>(message),
-                                tier);
+      return subscription_->DeliverIntra(
+          *static_cast<const MessagePtr*>(message), tier);
     }
 
     [[nodiscard]] bool alive() const noexcept override {
-      auto self = subscription_.lock();
-      return self != nullptr &&
-             !self->shutdown_.load(std::memory_order_acquire);
+      return !subscription_->shutdown_.load(std::memory_order_acquire);
     }
 
     [[nodiscard]] const std::string& transport_md5() const noexcept override {
@@ -276,7 +293,7 @@ class Subscription final
     }
 
    private:
-    std::weak_ptr<Subscription> subscription_;
+    const std::shared_ptr<Subscription> subscription_;
     const std::string md5_;
     const std::string callerid_;
   };
@@ -327,7 +344,7 @@ class Subscription final
     const LanePolicy::Plan plan = LanePolicy::PlanSubscriber(side);
 
     if (plan == LanePolicy::Plan::kIntra) {
-      auto link = std::make_shared<IntraLink>(this->weak_from_this(),
+      auto link = std::make_shared<IntraLink>(this->shared_from_this(),
                                               transport_md5_, callerid_);
       const auto status = publication->AddIntraLink(link);
       if (status.ok()) {
@@ -791,10 +808,10 @@ class Subscription final
 
   /// In-process delivery: called by the publication's fanout, on the
   /// publisher's thread, with the publisher's own handle.  Returns false
-  /// once shut down (the publication culls the link).
+  /// once shut down (the publication culls the link).  Counted once, in
+  /// its tier counter only (ReceivedCount adds the tiers in).
   bool DeliverIntra(const MessagePtr& msg, IntraTier tier) {
     if (shutdown_.load(std::memory_order_acquire)) return false;
-    received_.fetch_add(1, std::memory_order_relaxed);
     (tier == IntraTier::kZeroCopy ? intra_zero_copy_ : intra_whole_copy_)
         .fetch_add(1, std::memory_order_relaxed);
     Dispatch(msg);
@@ -834,7 +851,7 @@ class Subscription final
   rsf::ConcurrentQueue<MessagePtr> pending_;
   uint64_t master_id_ = 0;
   std::atomic<bool> shutdown_{false};
-  std::atomic<uint64_t> received_{0};
+  std::atomic<uint64_t> received_{0};  // wire deliveries: tcp, shm, mcast
   std::atomic<uint64_t> intra_zero_copy_{0};
   std::atomic<uint64_t> intra_whole_copy_{0};
   std::atomic<uint64_t> shm_zero_copy_{0};

@@ -138,6 +138,101 @@ TEST_F(IntraProcessTest, IntraDeliveriesFlowThroughUnifiedPublisherStats) {
   EXPECT_EQ(stats.dropped, 0u);
 }
 
+/// One subscription fed by an in-process publisher (both tiers) and by a
+/// wire-only publisher on the same topic: each delivery is counted once,
+/// so receivedCount() is exactly the wire deliveries plus both intra tiers.
+TEST_F(IntraProcessTest, ReceivedCountSumsWireAndIntraTiers) {
+  constexpr char kTopic[] = "/intra/count_once";
+  ros::NodeHandle node("count_once");
+  std::atomic<uint64_t> got{0};
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+  auto sub = node.subscribe<SfmString>(
+      kTopic, 64, [&](const SfmString::ConstPtr&) { got.fetch_add(1); },
+      options);
+  auto intra_pub = node.advertise<SfmString>(kTopic, 64);
+  // A Publication that never registers for in-process links (like bag
+  // replay): the subscription reaches it over TCP.
+  auto wire_pub = ros::Publication::Create(
+      kTopic, SfmString::DataType(), ros::TransportChecksum<SfmString>(),
+      "count_once_wire", 64);
+  ASSERT_TRUE(wire_pub.ok());
+  const ros::TopicEndpoint endpoint{"127.0.0.1", (*wire_pub)->port(),
+                                    "count_once_wire"};
+  ASSERT_TRUE(ros::master()
+                  .RegisterPublisher(kTopic, SfmString::DataType(),
+                                     ros::TransportChecksum<SfmString>(),
+                                     endpoint)
+                  .ok());
+  ASSERT_TRUE(WaitFor([&] {
+    return sub.getNumPublishers() == 2 && (*wire_pub)->NumSubscribers() == 1;
+  }));
+
+  constexpr uint64_t kZeroCopy = 3;
+  constexpr uint64_t kWholeCopy = 2;
+  constexpr uint64_t kWire = 4;
+  auto msg = SfmString::create();
+  msg->data = "counted once";
+  for (uint64_t i = 0; i < kZeroCopy; ++i) intra_pub.publish(msg);
+  for (uint64_t i = 0; i < kWholeCopy; ++i) intra_pub.publish(*msg);
+  for (uint64_t i = 0; i < kWire; ++i) {
+    (*wire_pub)->Publish(ros::Serializer<SfmString>::ToWire(*msg));
+  }
+  ASSERT_TRUE(
+      WaitFor([&] { return got.load() == kZeroCopy + kWholeCopy + kWire; }));
+
+  EXPECT_EQ(sub.intraZeroCopyCount(), kZeroCopy);
+  EXPECT_EQ(sub.intraWholeCopyCount(), kWholeCopy);
+  EXPECT_EQ(sub.receivedCount(), sub.intraZeroCopyCount() +
+                                     sub.intraWholeCopyCount() + kWire);
+  EXPECT_EQ(sub.receivedCount(), got.load());
+
+  ros::master().UnregisterPublisher(kTopic, endpoint);
+  (*wire_pub)->Shutdown();
+}
+
+// ---- subscription lifetime ----
+
+/// The last Subscriber copy going out of scope (no shutdown() call) shuts
+/// the subscription down and frees it while its publisher lives on: the
+/// lane is unhooked, the callback and everything it captured are released,
+/// and the next publish offers nothing.
+TEST_F(IntraProcessTest, DroppingLastHandleShutsDownAndFrees) {
+  ros::NodeHandle node("handle_drop");
+  auto pub = node.advertise<SfmString>("/intra/handle_drop", 10);
+  auto sentinel = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = sentinel;
+  std::atomic<uint64_t> got{0};
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+  auto sub = std::make_unique<ros::Subscriber>(node.subscribe<SfmString>(
+      "/intra/handle_drop", 10,
+      [sentinel, &got](const SfmString::ConstPtr&) { got.fetch_add(1); },
+      options));
+  sentinel.reset();  // the callback holds the only reference now
+  ASSERT_EQ(pub.getNumSubscribers(), 1u);
+
+  ros::Subscriber copy = *sub;
+  auto msg = SfmString::create();
+  pub.publish(msg);
+  EXPECT_EQ(got.load(), 1u);
+
+  sub.reset();  // one copy left: still subscribed
+  EXPECT_EQ(pub.getNumSubscribers(), 1u);
+  EXPECT_FALSE(watch.expired());
+
+  copy = ros::Subscriber();  // the last handle goes, without shutdown()
+  EXPECT_EQ(pub.getNumSubscribers(), 0u);
+  EXPECT_TRUE(watch.expired()) << "subscription (and its callback) leaked";
+
+  const auto before = pub.getStats();
+  pub.publish(msg);
+  const auto after = pub.getStats();
+  EXPECT_EQ(after.enqueued, before.enqueued);
+  EXPECT_EQ(after.dropped, 0u);
+  EXPECT_EQ(got.load(), 1u);
+}
+
 TEST_F(IntraProcessTest, RegistryDropsEntryOnPublisherShutdown) {
   const size_t before = ros::intra_registry().Size();
   {

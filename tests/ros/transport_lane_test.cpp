@@ -5,8 +5,9 @@
 // prove one frame build and one descriptor encode per publish at any
 // fan-out), the shm pin ledger's drop-oldest accounting against a
 // stalled subscriber that never acks, and the fan-out's membership rules:
-// culling, changes made from inside a publish, and concurrent publishers
-// against subscribe/unsubscribe churn, with the per-publish counter tally
+// culling, changes made from inside a publish, a subscriber dropping its
+// own last handle mid-publish, and concurrent publishers against
+// subscribe/unsubscribe churn, with the per-publish counter tally
 // reconciling exactly.
 #include <gtest/gtest.h>
 
@@ -642,17 +643,64 @@ TEST_F(TransportLaneTest, MembershipChangeInsidePublishShowsNextPublish) {
   EXPECT_EQ(stats.dropped, 0u);
 }
 
+/// A 64-way inline fan-out through real subscriptions where one callback
+/// drops the only handle to its own subscription mid-publish: the publish
+/// in flight keeps that subscription alive until the fan-out returns, the
+/// later lanes of that publish still deliver, and the next publish no
+/// longer offers the lane (unhooked, not culled: no drop).  Under ASan
+/// this is also the use-after-free check for the strong lane ownership.
+TEST_F(TransportLaneTest, LastHandleDroppedInsideOwnCallback) {
+  constexpr size_t kLanes = 64;
+  constexpr size_t kVictim = 10;
+  ros::NodeHandle node("self_drop");
+  auto pub = node.advertise<Image>("/self_drop", 8);
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+
+  std::vector<std::atomic<uint64_t>> counts(kLanes);
+  std::vector<ros::Subscriber> subs(kLanes);
+  for (size_t i = 0; i < kLanes; ++i) {
+    subs[i] = node.subscribe<Image>(
+        "/self_drop", 8,
+        std::function<void(const Image::ConstPtr&)>(
+            [&counts, &subs, i](const Image::ConstPtr&) {
+              // The victim drops its own subscription, then still reads
+              // its captures: the callback must outlive its last handle.
+              if (i == kVictim) subs[i] = ros::Subscriber();
+              counts[i].fetch_add(1);
+            }),
+        options);
+  }
+  ASSERT_EQ(pub.getStats().intra_links, kLanes);
+
+  pub.publish(Image::ConstPtr(Image::create()));  // the victim drops itself
+  EXPECT_FALSE(subs[kVictim].valid());
+  EXPECT_EQ(pub.getNumSubscribers(), kLanes - 1);
+  pub.publish(Image::ConstPtr(Image::create()));  // lane gone: not offered
+
+  for (size_t i = 0; i < kLanes; ++i) {
+    EXPECT_EQ(counts[i].load(), i == kVictim ? 1u : 2u) << "lane " << i;
+  }
+  const auto stats = pub.getStats();
+  EXPECT_EQ(stats.enqueued, 2 * kLanes - 1);
+  EXPECT_EQ(stats.dropped, 0u);
+  EXPECT_EQ(stats.enqueued, stats.intra_delivered + stats.dropped);
+  EXPECT_EQ(stats.intra_links, kLanes - 1);
+}
+
+/// How a transient subscriber leaves in RunPublishersAgainstChurn.
+enum class Leave { kShutdownCall, kHandleScope };
+
 /// Four publisher threads against continuous subscribe/unsubscribe churn:
 /// subscribers present throughout see every publish exactly once, and
 /// every delivery the publisher counted reached exactly one callback.
-/// Runs under TSan in CI (the suite is in the tsan regexes).
-TEST_F(TransportLaneTest, ConcurrentPublishersAgainstSubscribeChurn) {
+void RunPublishersAgainstChurn(const std::string& topic, Leave leave) {
   constexpr int kPublishers = 4;
   constexpr int kPerPublisher = 1000;
   constexpr int kSteady = 8;
 
   ros::NodeHandle node("churn_threads");
-  auto pub = node.advertise<Image>("/churn_threads", 8);
+  auto pub = node.advertise<Image>(topic, 8);
   ros::SubscribeOptions options;
   options.inline_dispatch = true;
 
@@ -663,7 +711,7 @@ TEST_F(TransportLaneTest, ConcurrentPublishersAgainstSubscribeChurn) {
     auto count = std::make_shared<std::atomic<uint64_t>>(0);
     counts.push_back(count);
     return node.subscribe<Image>(
-        "/churn_threads", 8,
+        topic, 8,
         std::function<void(const Image::ConstPtr&)>(
             [count](const Image::ConstPtr&) { count->fetch_add(1); }),
         options);
@@ -684,9 +732,11 @@ TEST_F(TransportLaneTest, ConcurrentPublishersAgainstSubscribeChurn) {
   }
   int churned = 0;
   while (running.load() > 0) {
-    ros::Subscriber transient = subscribe();
-    std::this_thread::yield();
-    transient.shutdown();
+    {
+      ros::Subscriber transient = subscribe();
+      std::this_thread::yield();
+      if (leave == Leave::kShutdownCall) transient.shutdown();
+    }  // kHandleScope: the last handle leaves scope here
     ++churned;
   }
   for (auto& thread : publishers) thread.join();
@@ -704,6 +754,18 @@ TEST_F(TransportLaneTest, ConcurrentPublishersAgainstSubscribeChurn) {
   EXPECT_EQ(stats.enqueued, stats.intra_delivered + stats.dropped);
   EXPECT_EQ(stats.intra_links, static_cast<size_t>(kSteady));
   EXPECT_GT(churned, 0);
+}
+
+/// Transient subscribers leave through an explicit shutdown().  Runs under
+/// TSan in CI (the suite is in the tsan regexes).
+TEST_F(TransportLaneTest, ConcurrentPublishersAgainstSubscribeChurn) {
+  RunPublishersAgainstChurn("/churn_threads", Leave::kShutdownCall);
+}
+
+/// Transient subscribers leave by their last handle going out of scope:
+/// the handle's Shutdown-running owner must give the same exact counts.
+TEST_F(TransportLaneTest, ConcurrentPublishersAgainstHandleScopeChurn) {
+  RunPublishersAgainstChurn("/churn_scope", Leave::kHandleScope);
 }
 
 }  // namespace
