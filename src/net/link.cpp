@@ -58,7 +58,14 @@ std::shared_ptr<Link> Link::Dial(const std::string& host, uint16_t port,
   auto link = std::make_shared<Link>(loop, options, std::move(callbacks));
   link->role_ = Role::kClient;
   bool in_progress = false;
-  auto conn = TcpConnection::ConnectStart(host, port, &in_progress);
+  auto conn = options.local_first
+                  ? TcpConnection::ConnectLocal(port, options.local_owner)
+                  : TcpConnection::ConnectStart(host, port, &in_progress);
+  if (!conn.ok() && options.local_first) {
+    RSF_DEBUG("link: local dial for port %u failed (%s); using TCP", port,
+              conn.status().message().c_str());
+    conn = TcpConnection::ConnectStart(host, port, &in_progress);
+  }
   if (conn.ok()) {
     link->conn_ = std::move(*conn);
     link->state_.store(in_progress ? State::kConnecting : State::kHandshaking,

@@ -1,6 +1,6 @@
 // The one transport lifecycle: a loop-confined state machine that owns a
 // connected (or connecting) socket, its resumable framing, its stats, and
-// its teardown — shared by every TCP-backed link in the middleware
+// its teardown — shared by every stream link in the middleware
 // (publication fan-out, subscription receive, shaped SimLink delivery, bag
 // record/replay).  Publication and Subscription are policy over this class:
 // they decide which tier a peer lands on (intra zero-copy / intra
@@ -30,6 +30,14 @@
 // EPOLLOUT event on the loop, and a timer closes the link if the peer
 // never answers.  This is what takes the master-notify thread out of the
 // connect path entirely.
+//
+// Link is socket-family-agnostic.  A dial with Options::local_first tries
+// the publication's same-host AF_UNIX name first (TcpConnection::
+// ConnectLocal, which completes or fails synchronously and keeps the
+// connection only if the listener is Options::local_owner's) and falls
+// back to TCP on any failure there; everything above the socket — handshake,
+// framing, write-through, pause/resume, teardown — is byte-identical on
+// both (DESIGN.md §8).
 #pragma once
 
 #include <sys/socket.h>
@@ -90,6 +98,15 @@ class Link : public std::enable_shared_from_this<Link> {
     /// [period, 2·period): the timer snapshots BytesWritten and fires one
     /// period later.
     uint64_t write_timeout_nanos = 0;
+    /// Dial only: try the peer's same-host AF_UNIX name (named after
+    /// `port`, net/socket.h) before TCP.  Any failure to connect there —
+    /// no such name (ECONNREFUSED), a full backlog (EAGAIN), a listener
+    /// that is not `local_owner`'s — falls back to TCP on `host:port`.
+    /// LanePolicy::DialLocalFirst decides it.
+    bool local_first = false;
+    /// With local_first: the pid that must hold the name (0: any process
+    /// of this user).  See TcpConnection::ConnectLocal.
+    pid_t local_owner = 0;
   };
 
   /// All callbacks run on the link's loop thread.  They are released (on
@@ -209,6 +226,9 @@ class Link : public std::enable_shared_from_this<Link> {
 
   [[nodiscard]] int fd() const noexcept { return conn_.fd(); }
   [[nodiscard]] EventLoop* loop() const noexcept { return loop_; }
+  /// True when the link rides an AF_UNIX socket (fixed before the factory
+  /// returns, so readable from any thread).
+  [[nodiscard]] bool local() const noexcept { return conn_.local(); }
 
  private:
   enum class Role : uint8_t { kServer, kClient };

@@ -5,12 +5,15 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <climits>
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -21,9 +24,30 @@ Status ErrnoStatus(const char* what) {
   return UnavailableError(std::string(what) + ": " + std::strerror(errno));
 }
 
+/// The abstract AF_UNIX address `@rsf.tcpros.<port>` (leading NUL, no
+/// terminator; `*len` is the exact address length the kernel keys on).
+sockaddr_un LocalAddress(uint16_t port, socklen_t* len) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  const int n = std::snprintf(addr.sun_path + 1, sizeof(addr.sun_path) - 1,
+                              "rsf.tcpros.%u", static_cast<unsigned>(port));
+  *len = static_cast<socklen_t>(offsetof(sockaddr_un, sun_path) + 1 + n);
+  return addr;
+}
+
 std::atomic<uint64_t> g_write_syscalls{0};
 std::atomic<uint64_t> g_recv_syscalls{0};
 std::atomic<uint64_t> g_blocking_connects{0};
+
+/// The peer credentials SO_PEERCRED reports for an AF_UNIX socket.
+Result<ucred> PeerCredentials(int fd) {
+  ucred cred{};
+  socklen_t len = sizeof(cred);
+  if (::getsockopt(fd, SOL_SOCKET, SO_PEERCRED, &cred, &len) != 0) {
+    return ErrnoStatus("getsockopt(SO_PEERCRED)");
+  }
+  return cred;
+}
 
 }  // namespace
 
@@ -87,6 +111,33 @@ Result<TcpConnection> TcpConnection::ConnectStart(const std::string& host,
     }
     return ErrnoStatus("connect");
   }
+}
+
+Result<TcpConnection> TcpConnection::ConnectLocal(uint16_t port,
+                                                  pid_t owner) {
+  FdGuard fd(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0));
+  if (!fd.valid()) return ErrnoStatus("socket(AF_UNIX)");
+  socklen_t len = 0;
+  const sockaddr_un addr = LocalAddress(port, &len);
+  while (::connect(fd.fd(), reinterpret_cast<const sockaddr*>(&addr), len) !=
+         0) {
+    if (errno != EINTR) return ErrnoStatus("connect(AF_UNIX)");
+  }
+  auto cred = PeerCredentials(fd.fd());
+  if (!cred.ok()) return cred.status();
+  if (cred->uid != ::geteuid() || (owner != 0 && cred->pid != owner)) {
+    return UnavailableError(
+        "connect(AF_UNIX): name for port " + std::to_string(port) +
+        " is held by pid " + std::to_string(cred->pid) + " uid " +
+        std::to_string(cred->uid) + ", not the publication's");
+  }
+  return TcpConnection(std::move(fd), /*local=*/true);
+}
+
+Result<pid_t> TcpConnection::PeerPid() const {
+  auto cred = PeerCredentials(fd_.fd());
+  if (!cred.ok()) return cred.status();
+  return cred->pid;
 }
 
 int TcpConnection::TakeConnectError() noexcept {
@@ -226,7 +277,9 @@ Result<int> TcpConnection::GetIntOption(int level, int option) const {
 }
 
 Status ApplyTransportSocketOptions(TcpConnection& conn) {
-  RSF_RETURN_IF_ERROR(conn.SetNoDelay(true));
+  // Nagle is a TCP notion: AF_UNIX refuses TCP_NODELAY (EOPNOTSUPP) but
+  // honours the buffer sizes below.
+  if (!conn.local()) RSF_RETURN_IF_ERROR(conn.SetNoDelay(true));
   const int bytes = kSocketBufferBytes;
   if (::setsockopt(conn.fd(), SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)) !=
       0) {
@@ -273,7 +326,19 @@ Result<TcpListener> TcpListener::Listen(uint16_t port) {
   if (::getsockname(fd.fd(), reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
     return ErrnoStatus("getsockname");
   }
-  return TcpListener(std::move(fd), ntohs(addr.sin_port));
+  return TcpListener(std::move(fd), ntohs(addr.sin_port), /*local=*/false);
+}
+
+Result<TcpListener> TcpListener::ListenLocal(uint16_t port) {
+  FdGuard fd(::socket(AF_UNIX, SOCK_STREAM, 0));
+  if (!fd.valid()) return ErrnoStatus("socket(AF_UNIX)");
+  socklen_t len = 0;
+  const sockaddr_un addr = LocalAddress(port, &len);
+  if (::bind(fd.fd(), reinterpret_cast<const sockaddr*>(&addr), len) != 0) {
+    return ErrnoStatus("bind(AF_UNIX)");
+  }
+  if (::listen(fd.fd(), 1024) != 0) return ErrnoStatus("listen");
+  return TcpListener(std::move(fd), port, /*local=*/true);
 }
 
 bool IsTransientAcceptErrno(int error) noexcept {
@@ -295,7 +360,7 @@ bool IsTransientAcceptErrno(int error) noexcept {
 Result<TcpConnection> TcpListener::Accept() {
   for (;;) {
     const int client = ::accept(fd_.fd(), nullptr, nullptr);
-    if (client >= 0) return TcpConnection(FdGuard(client));
+    if (client >= 0) return TcpConnection(FdGuard(client), local_);
     if (errno == EINTR) continue;  // signal delivery is never fatal here
     // Transient failures come back as kResourceExhausted so accept loops
     // can back off and retry instead of abandoning the listener; anything
@@ -312,7 +377,7 @@ Result<bool> TcpListener::TryAccept(TcpConnection* out) {
   for (;;) {
     const int client = ::accept(fd_.fd(), nullptr, nullptr);
     if (client >= 0) {
-      *out = TcpConnection(FdGuard(client));
+      *out = TcpConnection(FdGuard(client), local_);
       return true;
     }
     if (errno == EINTR) continue;

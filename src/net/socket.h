@@ -1,12 +1,14 @@
-// RAII TCP socket primitives over the BSD socket API.
+// RAII stream-socket primitives over the BSD socket API.
 //
 // Transport connections are nonblocking and reactor-managed (net/poller.h,
 // net/link.h); the blocking helpers remain for tools and tests that want a
-// simple synchronous peer.  All data-path traffic in the benchmarks flows
-// through real loopback TCP sockets, matching the paper's intra-machine
-// experimental setup (§5.1).
+// simple synchronous peer.  A connection is either loopback TCP or, for a
+// same-host peer, an abstract-namespace AF_UNIX stream named after the
+// publication's TCP port (ListenLocal / ConnectLocal).  Both carry the same
+// TCPROS bytes; the family only decides which kernel stack moves them.
 #pragma once
 
+#include <sys/types.h>
 #include <sys/uio.h>
 
 #include <atomic>
@@ -58,12 +60,14 @@ class FdGuard {
   std::atomic<int> fd_{-1};
 };
 
-/// A connected TCP stream.  Thread-compatible: one reader + one writer
-/// thread may operate concurrently (reads and writes never share state).
+/// A connected stream: loopback TCP, or same-host AF_UNIX when `local()`.
+/// Thread-compatible: one reader + one writer thread may operate
+/// concurrently (reads and writes never share state).
 class TcpConnection {
  public:
   TcpConnection() = default;
-  explicit TcpConnection(FdGuard fd) : fd_(std::move(fd)) {}
+  explicit TcpConnection(FdGuard fd, bool local = false)
+      : fd_(std::move(fd)), local_(local) {}
 
   /// Connects to host:port (blocking).  Transport code should use
   /// ConnectStart + a reactor loop instead; this remains for tools, tests,
@@ -79,12 +83,32 @@ class TcpConnection {
   static Result<TcpConnection> ConnectStart(const std::string& host,
                                             uint16_t port, bool* in_progress);
 
+  /// Nonblocking connect to the AF_UNIX name a same-host publication bound
+  /// next to TCP `port` (TcpListener::ListenLocal).  An AF_UNIX connect
+  /// never pends: it completes, or fails at once — ECONNREFUSED when no
+  /// such name is bound, EAGAIN when its backlog is full.  The returned
+  /// connection is O_NONBLOCK.
+  ///
+  /// An abstract name carries no permissions, so any process may hold it.
+  /// The connection is kept only if the kernel reports the listener
+  /// (SO_PEERCRED, as of its listen()) running as this process's user and,
+  /// when `owner` is nonzero, as process `owner`; otherwise it is closed
+  /// and an error returned.
+  static Result<TcpConnection> ConnectLocal(uint16_t port, pid_t owner = 0);
+
   /// Resolves a pending nonblocking connect: reads and clears SO_ERROR.
   /// 0 means the connection is established; otherwise the errno the connect
   /// failed with (ECONNREFUSED, ETIMEDOUT, …).
   int TakeConnectError() noexcept;
 
   [[nodiscard]] bool valid() const noexcept { return fd_.valid(); }
+  /// True for an AF_UNIX connection (ConnectLocal or a local listener).
+  [[nodiscard]] bool local() const noexcept { return local_; }
+
+  /// The peer process's pid as the kernel recorded it (SO_PEERCRED): for
+  /// an accepted connection the client's at connect(), for a dialed one
+  /// the listener's at listen().  AF_UNIX connections only.
+  Result<pid_t> PeerPid() const;
 
   /// Writes the entire span; returns an error on EOF/failure.
   Status WriteAll(std::span<const uint8_t> data);
@@ -129,6 +153,7 @@ class TcpConnection {
 
  private:
   FdGuard fd_;
+  bool local_ = false;
 };
 
 /// Kernel socket buffer size requested for every transport connection,
@@ -139,9 +164,9 @@ class TcpConnection {
 /// kernel clamps to those, then doubles for bookkeeping).
 inline constexpr int kSocketBufferBytes = 256 * 1024;
 
-/// Applies the transport socket options (TCP_NODELAY, SO_RCVBUF/SO_SNDBUF
-/// from kSocketBufferBytes) to a connection.  Called on both accepted and
-/// dialed sockets.
+/// Applies the transport socket options (TCP_NODELAY on TCP connections,
+/// SO_RCVBUF/SO_SNDBUF from kSocketBufferBytes on both families) to a
+/// connection.  Called on both accepted and dialed sockets.
 Status ApplyTransportSocketOptions(TcpConnection& conn);
 
 /// Process-wide count of write-side socket syscalls (`send` + `sendmsg`)
@@ -166,11 +191,22 @@ uint64_t BlockingConnectCount() noexcept;
 /// loops should back off and retry instead of exiting.
 bool IsTransientAcceptErrno(int error) noexcept;
 
-/// A listening TCP socket bound to 127.0.0.1.
+/// A listening socket: TCP bound to 127.0.0.1, or the same-host AF_UNIX
+/// name that shadows one (ListenLocal).
 class TcpListener {
  public:
+  TcpListener() = default;  // not listening; valid() is false
+
   /// Binds and listens; port 0 picks an ephemeral port.
   static Result<TcpListener> Listen(uint16_t port);
+
+  /// Binds and listens on the abstract AF_UNIX name `@rsf.tcpros.<port>`,
+  /// where `port` is a TCP port the caller already holds — the name's
+  /// uniqueness rides on the port's.  An abstract name has no filesystem
+  /// entry: the kernel releases it with the socket, so a crashed owner
+  /// leaves nothing to clean up.  Fails with EADDRINUSE when the name is
+  /// taken.
+  static Result<TcpListener> ListenLocal(uint16_t port);
 
   /// Blocks until a connection arrives.  EINTR is retried internally;
   /// transient failures (see IsTransientAcceptErrno) come back as
@@ -189,14 +225,18 @@ class TcpListener {
   [[nodiscard]] int fd() const noexcept { return fd_.fd(); }
   [[nodiscard]] uint16_t port() const noexcept { return port_; }
   [[nodiscard]] bool valid() const noexcept { return fd_.valid(); }
+  [[nodiscard]] bool local() const noexcept { return local_; }
 
-  /// Unblocks Accept() by closing the listening socket.
+  /// Unblocks Accept() by closing the listening socket (for a local
+  /// listener this also releases its name).
   void Close() noexcept;
 
  private:
-  TcpListener(FdGuard fd, uint16_t port) : fd_(std::move(fd)), port_(port) {}
+  TcpListener(FdGuard fd, uint16_t port, bool local)
+      : fd_(std::move(fd)), port_(port), local_(local) {}
   FdGuard fd_;
   uint16_t port_ = 0;
+  bool local_ = false;
 };
 
 }  // namespace rsf::net

@@ -13,6 +13,7 @@
 #include "ros/connection_header.h"
 #include "ros/master.h"
 #include "ros/publication.h"
+#include "ros/transport_lane.h"
 
 namespace ros {
 namespace {
@@ -203,10 +204,17 @@ struct TopicRecorder::Impl : std::enable_shared_from_this<TopicRecorder::Impl> {
       if (auto self = weak.lock()) self->RemoveLink(rl);
     };
 
+    // The recorder dials like an unshaped subscriber: AF_UNIX first for a
+    // same-host publisher.
+    LanePolicy::SubscriberSide side;
+    side.loopback = endpoint.loopback();
+    side.local_name = endpoint.local_owner != TopicEndpoint::kNoLocalName;
+    rsf::net::Link::Options options;
+    options.local_first = LanePolicy::DialLocalFirst(side);
+    options.local_owner = endpoint.local_owner;
     auto link = rsf::net::Link::Dial(endpoint.host, endpoint.port,
                                      rsf::net::Reactor::Get().NextLoop(),
-                                     rsf::net::Link::Options{},
-                                     std::move(callbacks));
+                                     options, std::move(callbacks));
     {
       std::lock_guard<std::mutex> lock(links_mutex);
       if (!shutdown.load(std::memory_order_acquire)) {
@@ -291,7 +299,7 @@ rsf::Result<uint64_t> PlayBag(const std::string& path, double rate) {
     if (!publication.ok()) return publication.status();
     RSF_RETURN_IF_ERROR(master().RegisterPublisher(
         record.topic, record.datatype, record.md5sum,
-        TopicEndpoint{"127.0.0.1", (*publication)->port(), "rsfbag_play"}));
+        (*publication)->Endpoint()));
     publications.emplace(record.topic, *std::move(publication));
   }
   // Give subscribers a beat to connect (rosbag play has the same race).
@@ -320,8 +328,7 @@ rsf::Result<uint64_t> PlayBag(const std::string& path, double rate) {
   // Let the frames drain before tearing the publications down.
   rsf::SleepForNanos(100'000'000);
   for (const auto& [topic, publication] : publications) {
-    master().UnregisterPublisher(
-        topic, TopicEndpoint{"127.0.0.1", publication->port(), "rsfbag_play"});
+    master().UnregisterPublisher(topic, publication->Endpoint());
     publication->Shutdown();
   }
   return published;

@@ -5,8 +5,11 @@
 // as threads in one process (DESIGN.md, deviations), so the master is an
 // in-process registry with callback-based publisher-update notifications —
 // the same control-plane contract, without the RPC encoding.  The data
-// plane (message frames) still flows over real loopback TCP sockets.
+// plane (message frames) still flows over real sockets: same-host AF_UNIX
+// streams, with loopback TCP as the fallback and the remote model.
 #pragma once
+
+#include <sys/types.h>
 
 #include <cstdint>
 #include <functional>
@@ -20,9 +23,27 @@
 namespace ros {
 
 struct TopicEndpoint {
+  /// Values of `local_owner` that name no process.
+  static constexpr pid_t kOwnerUnknown = 0;
+  static constexpr pid_t kNoLocalName = -1;
+
   std::string host;
   uint16_t port = 0;
   std::string callerid;
+  /// Who holds the publication's same-host AF_UNIX name (DESIGN.md §8).
+  /// A subscriber dials the name unless this is kNoLocalName, and keeps
+  /// the connection only if the kernel reports the listener as this
+  /// process — or, for kOwnerUnknown, as any process of its own user:
+  ///  - a pid: the publishing process, which bound the name
+  ///    (Publication::Endpoint);
+  ///  - kNoLocalName: the publication could not bind it (TCP only);
+  ///  - kOwnerUnknown: registered from outside the publishing process.
+  pid_t local_owner = kOwnerUnknown;
+
+  /// The endpoint is on this machine (what LanePolicy calls `loopback`).
+  [[nodiscard]] bool loopback() const noexcept {
+    return host == "127.0.0.1" || host == "localhost";
+  }
 
   friend bool operator==(const TopicEndpoint& a,
                          const TopicEndpoint& b) noexcept {

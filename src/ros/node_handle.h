@@ -198,15 +198,14 @@ class NodeHandle {
                                            TransportChecksum<M>(), name_,
                                            queue_size, /*intra_capable=*/true);
     SFM_CHECK_MSG(publication.ok(), publication.status().ToString().c_str());
+    const TopicEndpoint endpoint = (*publication)->Endpoint();
     const auto status = master().RegisterPublisher(
-        topic, M::DataType(), TransportChecksum<M>(),
-        TopicEndpoint{"127.0.0.1", (*publication)->port(), name_});
+        topic, M::DataType(), TransportChecksum<M>(), endpoint);
     if (!status.ok()) {
       (*publication)->Shutdown();
       throw std::runtime_error(status.ToString());
     }
-    registered_publications_.push_back(
-        {topic, TopicEndpoint{"127.0.0.1", (*publication)->port(), name_}});
+    registered_publications_.push_back({topic, endpoint});
     return Publisher(*std::move(publication));
   }
 

@@ -1,5 +1,7 @@
 #include "ros/publication.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <iterator>
 #include <utility>
@@ -24,6 +26,19 @@ rsf::Result<std::shared_ptr<Publication>> Publication::Create(
   auto publication = std::shared_ptr<Publication>(
       new Publication(topic, datatype, md5sum, callerid, queue_size,
                       *std::move(listener)));
+  // Bound only while the TCP port is held, so a publication never leaves
+  // its name to the port's next owner.  Anyone may hold an abstract name,
+  // though: subscribers keep an AF_UNIX connection only if the kernel names
+  // the owner Endpoint() advertised.
+  auto local = rsf::net::TcpListener::ListenLocal(publication->port_);
+  if (local.ok()) {
+    publication->local_listener_ = *std::move(local);
+  } else {
+    RSF_WARN("topic %s: same-host socket for port %u unavailable (%s); "
+             "subscribers connect over TCP",
+             topic.c_str(), publication->port_,
+             local.status().message().c_str());
+  }
   if (intra_capable) {
     // Register before Start() and before the caller announces the endpoint
     // to the master, so a subscriber notified of (topic, port) always finds
@@ -48,17 +63,30 @@ Publication::Publication(const std::string& topic, const std::string& datatype,
       listener_(std::move(listener)),
       port_(listener_.port()) {}
 
+TopicEndpoint Publication::Endpoint() const {
+  return TopicEndpoint{"127.0.0.1", port_, callerid_,
+                       local_listener_.valid() ? ::getpid()
+                                               : TopicEndpoint::kNoLocalName};
+}
+
 void Publication::Start() {
   loop_ = rsf::net::Reactor::Get().NextLoop();
   (void)listener_.SetNonBlocking(true);
+  if (local_listener_.valid()) (void)local_listener_.SetNonBlocking(true);
   std::weak_ptr<Publication> weak = shared_from_this();
-  const int fd = listener_.fd();
-  loop_->RunInLoop([weak, fd, loop = loop_] {
+  loop_->RunInLoop([weak, loop = loop_] {
     auto self = weak.lock();
-    if (self == nullptr) return;
-    loop->Add(fd, rsf::net::kEventReadable, [weak](uint32_t) {
-      if (auto alive = weak.lock()) alive->OnAcceptReady();
-    });
+    if (self == nullptr || self->shutdown_.load(std::memory_order_acquire)) {
+      return;
+    }
+    for (rsf::net::TcpListener* listener :
+         {&self->listener_, &self->local_listener_}) {
+      if (!listener->valid()) continue;
+      loop->Add(listener->fd(), rsf::net::kEventReadable,
+                [weak, listener](uint32_t) {
+                  if (auto alive = weak.lock()) alive->OnAcceptReady(*listener);
+                });
+    }
   });
 }
 
@@ -84,6 +112,10 @@ bool Publication::EvaluateHandshake(const uint8_t* request, uint32_t length,
     side.shm_requested = shm_request.requested;
     side.peer_pid_known = shm_request.pid_known;
     side.shm_enabled = sfm::shm::Enabled();
+    // On AF_UNIX the kernel names the peer: a header pid that disagrees
+    // would point the pin ledger's liveness checks at another process.
+    side.pid_mismatch = ctx->peer_pid != 0 && shm_request.pid_known &&
+                        shm_request.pid != ctx->peer_pid;
     int slot = -1;
     if (LanePolicy::ShouldAttemptShm(side)) {
       slot = sfm::shm::AcquirePeerSlot(shm_request.pid);
@@ -105,6 +137,12 @@ bool Publication::EvaluateHandshake(const uint8_t* request, uint32_t length,
         RSF_INFO("subscriber asked for shm on %s but the tier is disabled "
                  "here; staying on TCP",
                  topic_.c_str());
+        break;
+      case LanePolicy::Grant::kTcpPidMismatch:
+        RSF_WARN("subscriber on %s claims shm_pid %d but its socket belongs "
+                 "to pid %d; refusing shm, staying on TCP",
+                 topic_.c_str(), static_cast<int>(shm_request.pid),
+                 static_cast<int>(ctx->peer_pid));
         break;
       case LanePolicy::Grant::kTcpNoSlot:
         RSF_WARN("no free shm peer slot for subscriber on %s "
@@ -189,13 +227,13 @@ std::shared_ptr<McastGroupSender> Publication::EnsureMcastSender() {
   return mcast_sender_;
 }
 
-void Publication::OnAcceptReady() {
+void Publication::OnAcceptReady(rsf::net::TcpListener& listener) {
   while (!shutdown_.load(std::memory_order_acquire)) {
     rsf::net::TcpConnection conn;
-    auto got = listener_.TryAccept(&conn);
+    auto got = listener.TryAccept(&conn);
     if (!got.ok()) {
       // Terminal listener failure (normally: Shutdown closed it).
-      loop_->Remove(listener_.fd());
+      loop_->Remove(listener.fd());
       return;
     }
     if (!*got) return;  // backlog drained
@@ -208,6 +246,7 @@ void Publication::OnAcceptReady() {
     // (env-tuned, resolved per link so tests can shrink it between runs).
     options.write_timeout_nanos = rsf::net::WriteTimeoutNanos();
     auto ctx = std::make_shared<WireLaneContext>();
+    if (conn.local()) ctx->peer_pid = conn.PeerPid().value_or(0);
     rsf::net::Link::Callbacks callbacks;
     callbacks.on_handshake_request =
         [weak, ctx](const uint8_t* data, uint32_t length,
@@ -591,7 +630,7 @@ PublicationStats Publication::Stats() const {
           break;
         case LaneKind::kShm:
           ++stats.shm_links;
-          ++stats.tcp_links;  // shm lanes ride an established TCP link
+          ++stats.tcp_links;  // shm lanes ride an established TCPROS link
           break;
         case LaneKind::kMcast:
           ++stats.mcast_links;
@@ -601,6 +640,7 @@ PublicationStats Publication::Stats() const {
           ++stats.tcp_links;
           break;
       }
+      if (description.local) ++stats.unix_links;
     }
   };
   count(lanes_);
@@ -620,6 +660,7 @@ void Publication::Shutdown() {
   if (loop_ != nullptr) {
     loop_->RunSync([this] {
       loop_->Remove(listener_.fd());
+      loop_->Remove(local_listener_.fd());
       std::vector<PendingWire> pending;
       std::vector<std::shared_ptr<TransportLane>> lanes;
       std::vector<std::shared_ptr<TransportLane>> pending_intra;
@@ -654,6 +695,7 @@ void Publication::Shutdown() {
       for (const auto& lane : lanes) lane->Close();
     });
   }
+  local_listener_.Close();  // the name goes first, then the port
   listener_.Close();
 }
 

@@ -1,5 +1,6 @@
-// Publisher-side transport for one advertised topic: a listening socket,
-// the TCPROS handshake policy, and the fan-out across subscriber lanes —
+// Publisher-side transport for one advertised topic: its listening
+// sockets (loopback TCP, plus the same-host AF_UNIX name that shadows the
+// TCP port — DESIGN.md §8), the TCPROS handshake policy, and the fan-out across subscriber lanes —
 // plus, for typed publishers, the in-process fanout registered by
 // co-located subscriptions (intra_process.h).
 //
@@ -47,6 +48,7 @@
 #include "net/poller.h"
 #include "net/socket.h"
 #include "ros/intra_process.h"
+#include "ros/master.h"
 #include "ros/serialized_message.h"
 #include "ros/transport_lane.h"
 
@@ -68,7 +70,10 @@ struct PublicationStats {
   uint64_t shm_descriptors = 0;   // wire deliveries sent as shm descriptors
   uint64_t shm_inline = 0;        // wire deliveries on negotiated links that
                                   // went inline (fallback / below threshold)
-  size_t tcp_links = 0;           // live (established) wire subscriber links
+  size_t tcp_links = 0;           // live (established) TCPROS subscriber
+                                  // links, either socket family
+  size_t unix_links = 0;          // ... of which ride a same-host AF_UNIX
+                                  // socket (the rest: TCP)
   size_t shm_links = 0;           // ... of which negotiated the shm tier
   size_t mcast_links = 0;         // ... of which joined the multicast group
   size_t intra_links = 0;         // live in-process subscriber links
@@ -78,10 +83,13 @@ class Publication : public std::enable_shared_from_this<Publication> {
  public:
   using LaneArray = std::vector<std::shared_ptr<TransportLane>>;
 
-  /// Binds a listener on an ephemeral loopback port and starts accepting.
-  /// `intra_capable` publishers (typed ones, i.e. NodeHandle::advertise)
-  /// also register with the in-process registry so co-located subscribers
-  /// can link directly instead of dialing the port.
+  /// Binds a listener on an ephemeral loopback port, then the AF_UNIX
+  /// name `@rsf.tcpros.<port>` beside it, and starts accepting on both.  A
+  /// name that cannot be bound (already taken) leaves the publication on
+  /// TCP alone, logged once, and Endpoint() says so.  `intra_capable`
+  /// publishers (typed ones, i.e. NodeHandle::advertise) also register
+  /// with the in-process registry so co-located subscribers can link
+  /// directly instead of dialing the port.
   static rsf::Result<std::shared_ptr<Publication>> Create(
       const std::string& topic, const std::string& datatype,
       const std::string& md5sum, const std::string& callerid,
@@ -149,6 +157,10 @@ class Publication : public std::enable_shared_from_this<Publication> {
   [[nodiscard]] PublicationStats Stats() const;
 
   [[nodiscard]] uint16_t port() const noexcept { return port_; }
+  /// What to register with the master: the loopback port, the callerid,
+  /// and this process as the AF_UNIX name's owner — or kNoLocalName when
+  /// the name is not held, so subscribers go straight to TCP.
+  [[nodiscard]] TopicEndpoint Endpoint() const;
   [[nodiscard]] const std::string& topic() const noexcept { return topic_; }
   [[nodiscard]] const std::string& datatype() const noexcept {
     return datatype_;
@@ -156,7 +168,9 @@ class Publication : public std::enable_shared_from_this<Publication> {
   [[nodiscard]] const std::string& md5sum() const noexcept { return md5sum_; }
 
   /// Stops accepting and closes all lanes (RunSync: once this returns no
-  /// loop callback touches this object).  Idempotent.
+  /// loop callback touches this object), then releases the AF_UNIX name
+  /// before the TCP port — a later owner of the port never finds a stale
+  /// name.  Idempotent.
   void Shutdown();
 
  private:
@@ -171,7 +185,7 @@ class Publication : public std::enable_shared_from_this<Publication> {
     std::shared_ptr<WireLaneContext> ctx;
   };
 
-  /// Registers the listener with the event loop (called once by Create).
+  /// Registers both listeners with the event loop (called once by Create).
   void Start();
 
   /// Validates a request header, builds the reply frame, returns whether
@@ -216,8 +230,9 @@ class Publication : public std::enable_shared_from_this<Publication> {
   /// Runs on the lane's loop thread.
   void OnMcastFallback(TransportLane* lane);
 
-  // Loop-thread-only.
-  void OnAcceptReady();
+  // Loop-thread-only.  One accept handler for both listeners; an AF_UNIX
+  // accept also records the peer's kernel-reported pid for the handshake.
+  void OnAcceptReady(rsf::net::TcpListener& listener);
   void OnLinkEstablished(const std::shared_ptr<rsf::net::Link>& link,
                          const std::shared_ptr<WireLaneContext>& ctx);
   void OnLinkClosed(const std::shared_ptr<rsf::net::Link>& link,
@@ -288,6 +303,11 @@ class Publication : public std::enable_shared_from_this<Publication> {
 
   // Flush-kick scratch, reused across kicks.  Loop-confined.
   LaneArray kick_scratch_;
+
+  // The same-host AF_UNIX listener (invalid when its name was taken).
+  // Last on purpose: touched only at accept and shutdown, it stays off the
+  // cache lines the publish path reads.
+  rsf::net::TcpListener local_listener_;
 };
 
 }  // namespace ros

@@ -337,8 +337,8 @@ class Subscription final
     side.serialization_free = Serializer<M>::kSerializationFree;
     side.allow_shm = options_.allow_shm;
     side.shm_enabled = sfm::shm::Enabled();
-    side.loopback =
-        endpoint.host == "127.0.0.1" || endpoint.host == "localhost";
+    side.loopback = endpoint.loopback();
+    side.local_name = endpoint.local_owner != TopicEndpoint::kNoLocalName;
     side.allow_mcast = options_.allow_mcast;
     side.mcast_enabled = McastEnabled();
     const LanePolicy::Plan plan = LanePolicy::PlanSubscriber(side);
@@ -473,9 +473,11 @@ class Subscription final
       if (auto self = weak.lock()) self->RemoveWireLink(wl);
     };
 
-    auto link =
-        rsf::net::Link::Dial(endpoint.host, endpoint.port, loop,
-                             rsf::net::Link::Options{}, std::move(callbacks));
+    rsf::net::Link::Options link_options;
+    link_options.local_first = LanePolicy::DialLocalFirst(side);
+    link_options.local_owner = endpoint.local_owner;
+    auto link = rsf::net::Link::Dial(endpoint.host, endpoint.port, loop,
+                                     link_options, std::move(callbacks));
     {
       std::lock_guard<std::mutex> lock(links_mutex_);
       if (!shutdown_.load(std::memory_order_acquire)) {

@@ -95,7 +95,7 @@ class TcpLane final : public TransportLane {
   void Flush() override { link_->FlushOnLoop(); }
 
   [[nodiscard]] LaneDescription Describe() const override {
-    return {LaneKind::kTcp, true};
+    return {LaneKind::kTcp, true, link_->local()};
   }
 
  private:
@@ -226,7 +226,7 @@ class ShmLane final : public TransportLane {
   void Flush() override { link_->FlushOnLoop(); }
 
   [[nodiscard]] LaneDescription Describe() const override {
-    return {LaneKind::kShm, true};
+    return {LaneKind::kShm, true, link_->local()};
   }
 
  private:
@@ -349,7 +349,7 @@ class McastLane final : public TransportLane {
     // cohort membership (and mcast census entry) ended at the leave.
     return {tcp_fallback_.load(std::memory_order_acquire) ? LaneKind::kTcp
                                                           : LaneKind::kMcast,
-            true};
+            true, link_->local()};
   }
 
  private:
@@ -447,6 +447,7 @@ LanePolicy::Plan LanePolicy::PlanSubscriber(const SubscriberSide& in) noexcept {
 LanePolicy::Grant LanePolicy::GrantWireTier(const PublisherSide& in) noexcept {
   if (!in.shm_requested || !in.peer_pid_known) return Grant::kTcpNotRequested;
   if (!in.shm_enabled) return Grant::kTcpTierDisabled;
+  if (in.pid_mismatch) return Grant::kTcpPidMismatch;
   if (!in.slot_acquired) return Grant::kTcpNoSlot;
   return Grant::kShm;
 }

@@ -138,7 +138,8 @@ enum class LaneKind : uint8_t { kIntra, kTcp, kShm, kMcast };
 /// Thread-safe snapshot of one lane for Stats()/NumSubscribers().
 struct LaneDescription {
   LaneKind kind = LaneKind::kTcp;
-  bool alive = true;  // intra lanes: subscriber still reachable
+  bool alive = true;   // intra lanes: subscriber still reachable
+  bool local = false;  // wire lanes: the link rides a same-host AF_UNIX socket
 };
 
 /// One subscriber's delivery path.  See the threading contract above.
@@ -187,6 +188,9 @@ class TransportLane {
 /// construction — until then OnLinkClosed releases it from here.
 struct WireLaneContext {
   std::vector<uint8_t> control_buf;  // staging for inbound control frames
+  // The subscriber's pid as the kernel reports it (SO_PEERCRED) on an
+  // AF_UNIX link; 0 on TCP, where the peer cannot be identified.
+  pid_t peer_pid = 0;
   // Shm negotiation outcome (EvaluateHandshake, loop thread).
   bool shm_negotiated = false;
   int shm_slot = -1;
@@ -219,7 +223,18 @@ class LanePolicy {
     bool loopback = false;     // endpoint host is this machine
     bool allow_mcast = true;     // SubscribeOptions::allow_mcast
     bool mcast_enabled = false;  // RSF_TRANSPORT_MCAST on this side
+    bool local_name = true;  // endpoint does not rule out an AF_UNIX name
+                             // (TopicEndpoint::local_owner)
   };
+  /// Socket family for a wire dial: a same-host, unshaped link tries the
+  /// publication's AF_UNIX name first (Link::Options::local_first) and
+  /// falls back to TCP.  A shaped link models a remote machine, so it
+  /// stays on TCP like a non-loopback endpoint, and a publication that
+  /// could not bind its name is dialed over TCP at once.  The bytes and
+  /// the handshake are identical on both; only the kernel path differs.
+  [[nodiscard]] static bool DialLocalFirst(const SubscriberSide& in) noexcept {
+    return in.loopback && !in.shaped && in.local_name;
+  }
   enum class Plan : uint8_t {
     kIntra,            // register an in-process link, never dial
     kTcpRequestShm,    // dial TCP, ask for the shm tier in the handshake
@@ -233,12 +248,14 @@ class LanePolicy {
     bool shm_requested = false;   // header carried shm=1
     bool peer_pid_known = false;  // header carried shm_pid
     bool shm_enabled = false;     // RSF_TRANSPORT_SHM on this side
+    bool pid_mismatch = false;    // AF_UNIX peer credentials contradict shm_pid
     bool slot_acquired = false;   // a peer refcount column was free
   };
   enum class Grant : uint8_t {
     kShm,              // reply carries shm_ns/shm_slot; link becomes ShmLane
     kTcpNotRequested,  // subscriber never asked; plain TCP, silent
     kTcpTierDisabled,  // asked, but the tier is off here; log + TCP
+    kTcpPidMismatch,   // shm_pid is not the socket's owner; warn + TCP
     kTcpNoSlot,        // asked, all peer slots busy; warn + TCP
   };
   [[nodiscard]] static Grant GrantWireTier(const PublisherSide& in) noexcept;
@@ -246,7 +263,8 @@ class LanePolicy {
   /// Whether the handshake should even try to acquire a peer slot (the
   /// only side-effecting step; everything else above is pure).
   [[nodiscard]] static bool ShouldAttemptShm(const PublisherSide& in) noexcept {
-    return in.shm_requested && in.peer_pid_known && in.shm_enabled;
+    return in.shm_requested && in.peer_pid_known && in.shm_enabled &&
+           !in.pid_mismatch;
   }
 
   // ---- publisher side: whether the handshake grants the mcast tier ----

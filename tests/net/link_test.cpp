@@ -6,13 +6,18 @@
 // ThreadSanitizer job runs this whole binary.  Every suite is
 // parameterized over both I/O backends (backend_param.h): under uring the
 // same tests exercise the completion-mode recv/send drivers instead of
-// readiness + per-link syscalls.
+// readiness + per-link syscalls.  The link suites also run over both
+// socket families: "Backends/" instantiations over loopback TCP, "Unix/"
+// over the same-host AF_UNIX socket (TcpListener::ListenLocal) — the
+// Link above the socket must not tell them apart.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,11 +31,22 @@
 namespace rsf::net {
 namespace {
 
+// The AF_UNIX instantiation of a backend suite.  Its parameter stays the
+// backend, so the TCP cases keep their names; the family is read back
+// from the instantiation name (UnixFamily).
+#define RSF_INSTANTIATE_UNIX_SUITE(suite)                                \
+  INSTANTIATE_TEST_SUITE_P(Unix, suite,                                  \
+                           ::testing::Values(IoBackendKind::kEpoll,      \
+                                             IoBackendKind::kUring),     \
+                           BackendParamName)
+
 class LinkTest : public BackendSkipTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(LinkTest);
+RSF_INSTANTIATE_UNIX_SUITE(LinkTest);
 
 class LinkWriteTimeoutTest : public BackendSkipTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(LinkWriteTimeoutTest);
+RSF_INSTANTIATE_UNIX_SUITE(LinkWriteTimeoutTest);
 
 class LoopTimerTest : public BackendParamTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(LoopTimerTest);
@@ -49,6 +65,61 @@ bool WaitFor(Predicate predicate) {
 std::vector<uint8_t> Bytes(const char* text) {
   const auto* data = reinterpret_cast<const uint8_t*>(text);
   return {data, data + std::strlen(text)};
+}
+
+/// True when the running case belongs to a "Unix/" instantiation.
+bool UnixFamily() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::string_view(info->test_suite_name()).starts_with("Unix/");
+}
+
+/// Dial options for the running case's family: "Unix/" cases dial the
+/// AF_UNIX name first, as a same-host subscriber does.
+Link::Options DialOptions(Link::Options options = {}) {
+  options.local_first = UnixFamily();
+  return options;
+}
+
+/// A listening endpoint of the running case's family.  The TCP port is
+/// held on both, as a Publication holds it: the AF_UNIX name is derived
+/// from it.
+struct FamilyListener {
+  TcpListener tcp;
+  TcpListener local;  // bound on "Unix/" cases only
+  bool local_family = false;
+
+  [[nodiscard]] bool ok() const {
+    return tcp.valid() && (!local_family || local.valid());
+  }
+  [[nodiscard]] uint16_t port() const { return tcp.port(); }
+  Result<TcpConnection> Accept() {
+    return local_family ? local.Accept() : tcp.Accept();
+  }
+  /// A blocking client connection to this endpoint, in its family.
+  Result<TcpConnection> Connect() const {
+    if (!local_family) return TcpConnection::Connect("127.0.0.1", port());
+    auto conn = TcpConnection::ConnectLocal(port());
+    if (conn.ok()) {
+      if (auto status = conn->SetNonBlocking(false); !status.ok()) {
+        return status;
+      }
+    }
+    return conn;
+  }
+};
+
+FamilyListener ListenFamily() {
+  FamilyListener listener;
+  listener.local_family = UnixFamily();
+  if (auto tcp = TcpListener::Listen(0); tcp.ok()) {
+    listener.tcp = *std::move(tcp);
+  }
+  if (listener.local_family && listener.tcp.valid()) {
+    if (auto local = TcpListener::ListenLocal(listener.port()); local.ok()) {
+      listener.local = *std::move(local);
+    }
+  }
+  return listener;
 }
 
 /// A started EventLoop plus the bookkeeping every link test wants: counts
@@ -97,7 +168,7 @@ struct LinkHarness {
 /// Blocking server peer: accepts one connection, reads the handshake
 /// request, replies, and hands the connection to `body`.
 void RunServerPeer(
-    TcpListener& listener, std::vector<uint8_t>* request_out,
+    FamilyListener& listener, std::vector<uint8_t>* request_out,
     const std::vector<uint8_t>& reply,
     const std::function<void(TcpConnection&)>& body = nullptr) {
   auto conn = listener.Accept();
@@ -119,26 +190,27 @@ void RunServerPeer(
 }
 
 TEST_P(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
   LinkHarness harness(GetParam());
   std::vector<uint8_t> seen_request;
   std::thread server([&] {
-    RunServerPeer(*listener, &seen_request, Bytes("welcome"),
+    RunServerPeer(listener, &seen_request, Bytes("welcome"),
                   [](TcpConnection& conn) {
                     ASSERT_TRUE(WriteFrame(conn, Bytes("payload-1")).ok());
                     ASSERT_TRUE(WriteFrame(conn, Bytes("payload-2")).ok());
                   });
   });
 
-  auto link = Link::Dial("127.0.0.1", listener->port(), &harness.loop,
-                         Link::Options{},
+  auto link = Link::Dial("127.0.0.1", listener.port(), &harness.loop,
+                         DialOptions(),
                          harness.ClientCallbacks(Bytes("hello")));
   ASSERT_TRUE(WaitFor([&] { return harness.frames.load() >= 2; }));
   server.join();
 
   EXPECT_EQ(harness.established.load(), 1);
+  EXPECT_EQ(link->local(), UnixFamily());
   EXPECT_EQ(seen_request, Bytes("hello"));
   {
     std::lock_guard<std::mutex> lock(harness.mutex);
@@ -163,11 +235,69 @@ TEST_P(LinkTest, DialRefusedReportsClosedNeverEstablished) {
 
   LinkHarness harness(GetParam());
   auto link = Link::Dial("127.0.0.1", dead_port, &harness.loop,
-                         Link::Options{},
+                         DialOptions(),
                          harness.ClientCallbacks(Bytes("hello")));
   ASSERT_TRUE(WaitFor([&] { return harness.closed.load() == 1; }));
   EXPECT_EQ(harness.established.load(), 0);
   EXPECT_EQ(link->state(), Link::State::kClosed);
+}
+
+TEST_P(LinkTest, LocalFirstDialFallsBackToTcpAndDelivers) {
+  // Only a TCP listener: the AF_UNIX attempt is refused at once, and the
+  // same dial carries on over TCP — handshake and frames unchanged.
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  FamilyListener tcp_only;
+  tcp_only.tcp = *std::move(listener);
+
+  LinkHarness harness(GetParam());
+  std::thread server([&] {
+    RunServerPeer(tcp_only, nullptr, Bytes("welcome"),
+                  [](TcpConnection& conn) {
+                    ASSERT_TRUE(WriteFrame(conn, Bytes("over-tcp")).ok());
+                  });
+  });
+  Link::Options options;
+  options.local_first = true;
+  auto link = Link::Dial("127.0.0.1", tcp_only.port(), &harness.loop,
+                         options, harness.ClientCallbacks(Bytes("hello")));
+  ASSERT_TRUE(WaitFor([&] { return harness.frames.load() >= 1; }));
+  server.join();
+  EXPECT_FALSE(link->local());
+  {
+    std::lock_guard<std::mutex> lock(harness.mutex);
+    EXPECT_EQ(harness.last_payload, Bytes("over-tcp"));
+  }
+  link->CloseSync();
+}
+
+TEST_P(LinkTest, LocalFirstDialRefusesANameHeldByAnotherOwner) {
+  // The name is bound, but not by the process the dialer was told owns it
+  // (a squatter, as the dialer sees it): the AF_UNIX connection is dropped
+  // and the same dial delivers over TCP.
+  auto listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok());
+  FamilyListener tcp_only;
+  tcp_only.tcp = *std::move(listener);
+  auto squatter = TcpListener::ListenLocal(tcp_only.port());
+  ASSERT_TRUE(squatter.ok());
+
+  LinkHarness harness(GetParam());
+  std::thread server([&] {
+    RunServerPeer(tcp_only, nullptr, Bytes("welcome"),
+                  [](TcpConnection& conn) {
+                    ASSERT_TRUE(WriteFrame(conn, Bytes("over-tcp")).ok());
+                  });
+  });
+  Link::Options options;
+  options.local_first = true;
+  options.local_owner = ::getppid();  // not the squatter (this process)
+  auto link = Link::Dial("127.0.0.1", tcp_only.port(), &harness.loop,
+                         options, harness.ClientCallbacks(Bytes("hello")));
+  ASSERT_TRUE(WaitFor([&] { return harness.frames.load() >= 1; }));
+  server.join();
+  EXPECT_FALSE(link->local());
+  link->CloseSync();
 }
 
 TEST_P(LinkTest, DialToBlackholePeerTimesOut) {
@@ -178,7 +308,7 @@ TEST_P(LinkTest, DialToBlackholePeerTimesOut) {
   LinkHarness harness(GetParam());
   Link::Options options;
   options.connect_timeout_nanos = 200'000'000;  // 200 ms
-  auto link = Link::Dial("192.0.2.1", 9, &harness.loop, options,
+  auto link = Link::Dial("192.0.2.1", 9, &harness.loop, DialOptions(options),
                          harness.ClientCallbacks(Bytes("hello")));
   ASSERT_TRUE(WaitFor([&] { return harness.closed.load() == 1; }));
   EXPECT_EQ(harness.established.load(), 0);
@@ -186,12 +316,12 @@ TEST_P(LinkTest, DialToBlackholePeerTimesOut) {
 }
 
 TEST_P(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
   LinkHarness harness(GetParam());
   std::thread server([&] {
-    auto conn = listener->Accept();
+    auto conn = listener.Accept();
     ASSERT_TRUE(conn.ok());
     std::vector<uint8_t> request;
     uint32_t length = 0;
@@ -217,8 +347,8 @@ TEST_P(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
     ASSERT_TRUE(WriteFrame(*conn, Bytes("after")).ok());
   });
 
-  auto link = Link::Dial("127.0.0.1", listener->port(), &harness.loop,
-                         Link::Options{},
+  auto link = Link::Dial("127.0.0.1", listener.port(), &harness.loop,
+                         DialOptions(),
                          harness.ClientCallbacks(Bytes("hello")));
   ASSERT_TRUE(WaitFor([&] { return harness.frames.load() >= 1; }));
   server.join();
@@ -227,12 +357,12 @@ TEST_P(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
 }
 
 TEST_P(LinkTest, PeerCloseDuringHandshakeClosesLink) {
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
   LinkHarness harness(GetParam());
   std::thread server([&] {
-    auto conn = listener->Accept();
+    auto conn = listener.Accept();
     ASSERT_TRUE(conn.ok());
     // Read the request, then hang up without ever replying.
     std::vector<uint8_t> request;
@@ -248,8 +378,8 @@ TEST_P(LinkTest, PeerCloseDuringHandshakeClosesLink) {
     conn->Close();
   });
 
-  auto link = Link::Dial("127.0.0.1", listener->port(), &harness.loop,
-                         Link::Options{},
+  auto link = Link::Dial("127.0.0.1", listener.port(), &harness.loop,
+                         DialOptions(),
                          harness.ClientCallbacks(Bytes("hello")));
   ASSERT_TRUE(WaitFor([&] { return harness.closed.load() == 1; }));
   server.join();
@@ -258,7 +388,7 @@ TEST_P(LinkTest, PeerCloseDuringHandshakeClosesLink) {
 }
 
 TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
   LinkHarness harness(GetParam());
@@ -266,7 +396,7 @@ TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   std::mutex link_mutex;
 
   std::thread client_thread([&] {
-    auto conn = TcpConnection::Connect("127.0.0.1", listener->port());
+    auto conn = listener.Connect();
     ASSERT_TRUE(conn.ok());
     ASSERT_TRUE(WriteFrame(*conn, Bytes("subscribe-me")).ok());
     std::vector<uint8_t> reply;
@@ -295,7 +425,7 @@ TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
     EXPECT_EQ(payload, Bytes("fanout"));
   });
 
-  auto conn = listener->Accept();
+  auto conn = listener.Accept();
   ASSERT_TRUE(conn.ok());
   Link::Callbacks callbacks;
   callbacks.on_handshake_request = [](const uint8_t* data, uint32_t length,
@@ -317,6 +447,7 @@ TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   auto link = Link::Accepted(*std::move(conn), &harness.loop, Link::Options{},
                              std::move(callbacks));
   ASSERT_TRUE(WaitFor([&] { return harness.established.load() == 1; }));
+  EXPECT_EQ(link->local(), UnixFamily());
 
   const auto payload = Bytes("fanout");
   auto buffer = std::shared_ptr<uint8_t[]>(new uint8_t[payload.size()]);
@@ -331,12 +462,12 @@ TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
 }
 
 TEST_P(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
   LinkHarness harness(GetParam());
   std::thread client_thread([&] {
-    auto conn = TcpConnection::Connect("127.0.0.1", listener->port());
+    auto conn = listener.Connect();
     ASSERT_TRUE(conn.ok());
     ASSERT_TRUE(WriteFrame(*conn, Bytes("bad-handshake")).ok());
     // The Draining state must flush the rejection reply before closing.
@@ -357,7 +488,7 @@ TEST_P(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
     EXPECT_FALSE(conn->ReadExact({&byte, 1}).ok());
   });
 
-  auto conn = listener->Accept();
+  auto conn = listener.Accept();
   ASSERT_TRUE(conn.ok());
   Link::Callbacks callbacks;
   callbacks.on_handshake_request = [](const uint8_t*, uint32_t,
@@ -379,7 +510,7 @@ TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
   // The shaped-delivery pattern, driven directly: every frame pauses the
   // link and resumes it 20 ms later via the loop timer, so three frames
   // sent back-to-back must take >= 2 pacing gaps to deliver.
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
   LinkHarness harness(GetParam());
@@ -410,7 +541,7 @@ TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
   };
 
   std::thread server([&] {
-    RunServerPeer(*listener, nullptr, Bytes("ok"), [](TcpConnection& conn) {
+    RunServerPeer(listener, nullptr, Bytes("ok"), [](TcpConnection& conn) {
       for (int i = 0; i < 3; ++i) {
         ASSERT_TRUE(WriteFrame(conn, Bytes("frame")).ok());
       }
@@ -418,8 +549,8 @@ TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
   });
 
   const uint64_t start = MonotonicNanos();
-  auto link = Link::Dial("127.0.0.1", listener->port(), &harness.loop,
-                         Link::Options{}, std::move(callbacks));
+  auto link = Link::Dial("127.0.0.1", listener.port(), &harness.loop,
+                         DialOptions(), std::move(callbacks));
   ASSERT_TRUE(WaitFor([&] { return harness.frames.load() >= 3; }));
   const uint64_t elapsed = MonotonicNanos() - start;
   server.join();
@@ -431,11 +562,11 @@ TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
 /// Accepts one connection, performs the server-side handshake, then reads
 /// `expect_frames` app frames, checking each payload against `expected`.
 /// Signals `done` when finished and holds the socket open until `release`.
-void RunReadingClientPeer(uint16_t port, int expect_frames,
+void RunReadingClientPeer(const FamilyListener& listener, int expect_frames,
                           const std::vector<uint8_t>& expected,
                           std::atomic<bool>& done,
                           std::atomic<bool>& release) {
-  auto conn = TcpConnection::Connect("127.0.0.1", port);
+  auto conn = listener.Connect();
   ASSERT_TRUE(conn.ok());
   ASSERT_TRUE(WriteFrame(*conn, Bytes("subscribe-me")).ok());
   std::vector<uint8_t> buf;
@@ -501,7 +632,7 @@ TEST_P(LinkTest, LargeFramesSurvivePartialSendsAndReleaseHolders) {
   // the remainder of a short SENDMSG.  The peer byte-checks every frame,
   // and once the writer drains the queue drops its shared payload holders
   // (the payload's only other reference was released after enqueue).
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
   LinkHarness harness(GetParam());
@@ -510,11 +641,11 @@ TEST_P(LinkTest, LargeFramesSurvivePartialSendsAndReleaseHolders) {
   std::atomic<bool> peer_done{false};
   std::atomic<bool> release_peer{false};
   std::thread client([&] {
-    RunReadingClientPeer(listener->port(), kFrames, payload, peer_done,
+    RunReadingClientPeer(listener, kFrames, payload, peer_done,
                          release_peer);
   });
 
-  auto conn = listener->Accept();
+  auto conn = listener.Accept();
   ASSERT_TRUE(conn.ok());
   auto link = Link::Accepted(*std::move(conn), &harness.loop, Link::Options{},
                              AcceptingServerCallbacks(harness));
@@ -549,9 +680,8 @@ TEST_P(LinkTest, ProducerWriteThroughRacesClose) {
   constexpr int kRounds = 200;
   constexpr int kProducers = 4;
   constexpr int kFramesPerProducer = 32;
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
-  const uint16_t port = listener->port();
 
   LinkHarness harness(GetParam());
   const auto bytes = PatternPayload(512);
@@ -561,7 +691,7 @@ TEST_P(LinkTest, ProducerWriteThroughRacesClose) {
 
   for (int round = 0; round < kRounds; ++round) {
     std::thread peer([&, round] {
-      auto conn = TcpConnection::Connect("127.0.0.1", port);
+      auto conn = listener.Connect();
       ASSERT_TRUE(conn.ok());
       ASSERT_TRUE(WriteFrame(*conn, Bytes("subscribe-me")).ok());
       std::vector<uint8_t> buf;
@@ -581,7 +711,7 @@ TEST_P(LinkTest, ProducerWriteThroughRacesClose) {
       conn->Close();
     });
 
-    auto conn = listener->Accept();
+    auto conn = listener.Accept();
     ASSERT_TRUE(conn.ok());
     auto link = Link::Accepted(*std::move(conn), &harness.loop, options,
                                AcceptingServerCallbacks(harness));
@@ -624,13 +754,13 @@ TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   // fill, the writer stops making progress, and the write-progress
   // deadline must close the link (on_closed fires, queued frames counted
   // as stranded) instead of pinning queue memory forever.
-  auto listener = TcpListener::Listen(0);
+  auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
   LinkHarness harness(GetParam());
   std::atomic<bool> release_peer{false};
   std::thread client([&] {
-    auto conn = TcpConnection::Connect("127.0.0.1", listener->port());
+    auto conn = listener.Connect();
     ASSERT_TRUE(conn.ok());
     ASSERT_TRUE(WriteFrame(*conn, Bytes("subscribe-me")).ok());
     std::vector<uint8_t> reply;
@@ -647,7 +777,7 @@ TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
     while (!release_peer.load()) SleepForNanos(1'000'000);
   });
 
-  auto conn = listener->Accept();
+  auto conn = listener.Accept();
   ASSERT_TRUE(conn.ok());
   Link::Options options;
   options.write_timeout_nanos = 150'000'000;  // 150 ms
@@ -666,7 +796,73 @@ TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
 
   ASSERT_TRUE(WaitFor([&] { return harness.closed.load() == 1; }));
   EXPECT_EQ(link->state(), Link::State::kClosed);
-  EXPECT_GT(link->stats().frames_stranded, 0u);
+  const Link::Stats stats = link->stats();
+  EXPECT_GT(stats.frames_stranded, 0u);
+  // How many frames the kernel absorbed depends on the family (AF_UNIX
+  // charges its send buffer per skb), but every frame lands in one bucket.
+  EXPECT_EQ(stats.frames_enqueued,
+            stats.frames_sent + stats.frames_evicted + stats.frames_stranded);
+
+  release_peer.store(true);
+  client.join();
+}
+
+TEST_P(LinkWriteTimeoutTest, SlowConsumerEvictsOldestAndAccountsEveryFrame) {
+  // A peer that handshakes and then reads nothing, behind a bounded queue:
+  // the writer fills the socket, drop-oldest evicts the backlog beyond
+  // max_pending_frames, and the deadline strands the rest.
+  auto listener = ListenFamily();
+  ASSERT_TRUE(listener.ok());
+
+  LinkHarness harness(GetParam());
+  std::atomic<bool> release_peer{false};
+  std::thread client([&] {
+    auto conn = listener.Connect();
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(WriteFrame(*conn, Bytes("subscribe-me")).ok());
+    std::vector<uint8_t> reply;
+    uint32_t length = 0;
+    ASSERT_TRUE(ReadFrame(
+                    *conn,
+                    [&](uint32_t len) {
+                      reply.resize(len == 0 ? 1 : len);
+                      return reply.data();
+                    },
+                    &length)
+                    .ok());
+    while (!release_peer.load()) SleepForNanos(1'000'000);
+  });
+
+  auto conn = listener.Accept();
+  ASSERT_TRUE(conn.ok());
+  Link::Options options;
+  options.max_pending_frames = 8;
+  options.write_timeout_nanos = 150'000'000;  // 150 ms
+  auto link = Link::Accepted(*std::move(conn), &harness.loop, options,
+                             AcceptingServerCallbacks(harness));
+  ASSERT_TRUE(WaitFor([&] { return harness.established.load() == 1; }));
+
+  // Eight queued 256 KiB frames overrun both kernel buffers on either
+  // family, however the enqueues interleave with the loop's flushes.
+  const auto payload = PatternPayload(256 * 1024);
+  constexpr int kFrames = 32;
+  for (int i = 0; i < kFrames; ++i) {
+    link->EnqueueFrame(SharedCopy(payload),
+                       static_cast<uint32_t>(payload.size()));
+    harness.loop.RunInLoop([link] { link->FlushOnLoop(); });
+  }
+
+  ASSERT_TRUE(WaitFor([&] { return harness.closed.load() == 1; }))
+      << "sent " << link->stats().frames_sent << " evicted "
+      << link->stats().frames_evicted << " state "
+      << static_cast<int>(link->state());
+  const Link::Stats stats = link->stats();
+  EXPECT_EQ(stats.frames_enqueued, static_cast<uint64_t>(kFrames) + 1);
+  EXPECT_GT(stats.frames_evicted, 0u);
+  EXPECT_EQ(stats.frames_enqueued,
+            stats.frames_sent + stats.frames_evicted + stats.frames_stranded)
+      << "sent " << stats.frames_sent << " evicted " << stats.frames_evicted
+      << " stranded " << stats.frames_stranded;
 
   release_peer.store(true);
   client.join();

@@ -5,6 +5,8 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <thread>
@@ -214,6 +216,94 @@ TEST(SocketOptions, AppliedToDialedConnection) {
   auto [client, server] = MakePair();
   ASSERT_TRUE(ApplyTransportSocketOptions(client).ok());
   ExpectTransportOptions(client);
+}
+
+TEST(SocketOptions, AppliedToLocalConnectionWithoutNoDelay) {
+  // AF_UNIX refuses TCP_NODELAY; the buffer sizes must still be applied.
+  auto tcp = TcpListener::Listen(0);
+  ASSERT_TRUE(tcp.ok());
+  auto local = TcpListener::ListenLocal(tcp->port());
+  ASSERT_TRUE(local.ok());
+  auto client = TcpConnection::ConnectLocal(tcp->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_TRUE(client->local());
+  ASSERT_TRUE(ApplyTransportSocketOptions(*client).ok());
+  auto sndbuf = client->GetIntOption(SOL_SOCKET, SO_SNDBUF);
+  ASSERT_TRUE(sndbuf.ok());
+  EXPECT_GE(*sndbuf, kSocketBufferBytes);
+}
+
+TEST(Socket, LocalConnectRefusedWithoutListenerAndNamesItsPeer) {
+  auto tcp = TcpListener::Listen(0);
+  ASSERT_TRUE(tcp.ok());
+  EXPECT_FALSE(TcpConnection::ConnectLocal(tcp->port()).ok());
+
+  auto local = TcpListener::ListenLocal(tcp->port());
+  ASSERT_TRUE(local.ok());
+  auto client = TcpConnection::ConnectLocal(tcp->port());
+  ASSERT_TRUE(client.ok());
+  auto server = local->Accept();
+  ASSERT_TRUE(server.ok());
+  EXPECT_TRUE(server->local());
+  auto pid = server->PeerPid();
+  ASSERT_TRUE(pid.ok());
+  EXPECT_EQ(*pid, ::getpid());
+  // The dialing side reads the listener's owner the same way.
+  auto client_pid = client->PeerPid();
+  ASSERT_TRUE(client_pid.ok());
+  EXPECT_EQ(*client_pid, ::getpid());
+}
+
+TEST(Socket, LocalConnectKeepsOnlyTheNamedOwnersListener) {
+  auto tcp = TcpListener::Listen(0);
+  ASSERT_TRUE(tcp.ok());
+  auto local = TcpListener::ListenLocal(tcp->port());
+  ASSERT_TRUE(local.ok());
+  EXPECT_TRUE(TcpConnection::ConnectLocal(tcp->port(), ::getpid()).ok());
+  auto other = TcpConnection::ConnectLocal(tcp->port(), ::getppid());
+  EXPECT_FALSE(other.ok());
+}
+
+TEST(Socket, LocalConnectRefusesAnotherUsersListener) {
+  // Any process may bind an abstract name; one running as another user
+  // must not be taken for the publication, whatever pid is expected.
+  if (::geteuid() != 0) GTEST_SKIP() << "needs root to listen as another user";
+  auto tcp = TcpListener::Listen(0);
+  ASSERT_TRUE(tcp.ok());
+  const uint16_t port = tcp->port();
+  int ready[2];
+  int done[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  ASSERT_EQ(::pipe(done), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    // The listener lives until the parent closes `done`.
+    ::close(ready[0]);
+    ::close(done[1]);
+    char bound = 0;
+    Result<TcpListener> listener = UnavailableError("not bound");
+    if (::setgid(65534) == 0 && ::setuid(65534) == 0) {
+      listener = TcpListener::ListenLocal(port);
+      bound = listener.ok() ? 1 : 0;
+    }
+    (void)!::write(ready[1], &bound, 1);
+    (void)!::read(done[0], &bound, 1);
+    ::_exit(0);
+  }
+  ::close(ready[1]);
+  ::close(done[0]);
+  char bound = 0;
+  ASSERT_EQ(::read(ready[0], &bound, 1), 1);
+  if (bound == 1) {
+    EXPECT_FALSE(TcpConnection::ConnectLocal(port).ok());
+    EXPECT_FALSE(TcpConnection::ConnectLocal(port, child).ok());
+  }
+  ::close(done[1]);
+  ::close(ready[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  if (bound != 1) GTEST_SKIP() << "could not listen as another user";
 }
 
 TEST(SimLink, WireTimeMatchesBandwidth) {

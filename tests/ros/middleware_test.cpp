@@ -1,12 +1,15 @@
 // Integration tests for the mini-ROS middleware: the full roscpp-style
-// pub/sub path over loopback TCP, for both regular and serialization-free
-// message variants, plus connection-header and master unit coverage.
+// pub/sub path over same-host sockets (AF_UNIX; loopback TCP for shaped
+// links), for both regular and serialization-free message variants, plus
+// connection-header and master unit coverage.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -409,8 +412,8 @@ TEST_F(MiddlewareTest, SfmArenaIsReclaimedAfterDelivery) {
 // ---- receive-path copy budget (shim counters, see message_traits.h) ----
 //
 // These tests force the wire transport (allow_intra_process = false) so
-// every message crosses a real loopback TCP link, then assert how the
-// payload bytes reached the delivered message.
+// every message crosses a real socket (same-host AF_UNIX), then assert
+// how the payload bytes reached the delivered message.
 
 TEST_F(MiddlewareTest, SfmTcpReceiveIsArenaDirect) {
   ros::NodeHandle pub_node("pub");
@@ -420,7 +423,7 @@ TEST_F(MiddlewareTest, SfmTcpReceiveIsArenaDirect) {
   std::atomic<int> got{0};
   ros::SubscribeOptions options;
   options.inline_dispatch = true;
-  options.allow_intra_process = false;  // force TCP
+  options.allow_intra_process = false;  // force the wire
   options.allow_shm = false;  // counters below assert the BYTE path (the
                               // CI shm job forces RSF_TRANSPORT_SHM=1)
   auto sub = sub_node.subscribe<Image>(
@@ -459,7 +462,7 @@ TEST_F(MiddlewareTest, SfmTcpPublishIsCopyFreeInUserSpace) {
   std::atomic<int> got{0};
   ros::SubscribeOptions options;
   options.inline_dispatch = true;
-  options.allow_intra_process = false;  // force TCP
+  options.allow_intra_process = false;  // force the wire
   options.allow_shm = false;  // counters below assert the BYTE path (the
                               // CI shm job forces RSF_TRANSPORT_SHM=1)
   auto sub = sub_node.subscribe<Image>(
@@ -496,7 +499,7 @@ TEST_F(MiddlewareTest, RegularTcpReceiveReusesScratchAcrossFrames) {
   std::atomic<int> got{0};
   ros::SubscribeOptions options;
   options.inline_dispatch = true;
-  options.allow_intra_process = false;  // force TCP
+  options.allow_intra_process = false;  // force the wire
   auto sub = sub_node.subscribe<Image>(
       "/scratch_reuse", 10, [&](const Image::ConstPtr&) { got++; }, options);
   auto pub = pub_node.advertise<Image>("/scratch_reuse", 10);
@@ -633,6 +636,134 @@ TEST_F(MiddlewareTest, TransportThreadCountIndependentOfLinkCount) {
   for (auto& sub : subs) {
     ASSERT_TRUE(WaitFor([&] { return sub.receivedCount() >= 1; }));
   }
+}
+
+TEST_F(MiddlewareTest, UnshapedSameHostLinkRidesUnixShapedRidesTcp) {
+  // Same host, unshaped: the subscriber dials the publication's AF_UNIX
+  // name.  Shaped: the link models a remote machine and stays on TCP.
+  // Both carry the same TCPROS bytes, so both deliver.
+  ros::NodeHandle pub_node("pub");
+  ros::NodeHandle sub_node("sub");
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+  options.allow_intra_process = false;  // force the wire
+  options.allow_shm = false;    // plain lanes, whatever the CI job's
+  options.allow_mcast = false;  // tier env says
+  std::atomic<int> got{0};
+  const auto callback = [&](const std_msgs::String::ConstPtr&) { got++; };
+  auto pub = pub_node.advertise<std_msgs::String>("/family", 10);
+  auto same_host =
+      sub_node.subscribe<std_msgs::String>("/family", 10, callback, options);
+  ASSERT_TRUE(WaitFor([&] { return pub.getNumSubscribers() == 1; }));
+  ros::PublicationStats stats = pub.getStats();
+  EXPECT_EQ(stats.tcp_links, 1u);
+  EXPECT_EQ(stats.unix_links, 1u);
+
+  ros::SubscribeOptions shaped = options;
+  shaped.link = rsf::net::LinkConfig{1e9, 0};  // 1 Gbit/s, negligible delay
+  auto remote =
+      sub_node.subscribe<std_msgs::String>("/family", 10, callback, shaped);
+  ASSERT_TRUE(WaitFor([&] { return pub.getNumSubscribers() == 2; }));
+  stats = pub.getStats();
+  EXPECT_EQ(stats.tcp_links, 2u);
+  EXPECT_EQ(stats.unix_links, 1u);
+
+  std_msgs::String msg;
+  msg.data = "both families";
+  pub.publish(msg);
+  ASSERT_TRUE(WaitFor([&] { return got.load() == 2; }));
+}
+
+/// Subscribes through NodeHandle to a plain Publication of
+/// std_msgs/String advertised as `endpoint` (which the caller may alter
+/// before it is registered), and returns how the link landed once one
+/// message has crossed it.
+ros::PublicationStats WireLinkToEndpoint(
+    const std::string& topic,
+    const std::function<void(ros::TopicEndpoint*)>& advertise_as) {
+  auto publication = ros::Publication::Create(
+      topic, std_msgs::String::DataType(),
+      ros::TransportChecksum<std_msgs::String>(), "pub", 8);
+  EXPECT_TRUE(publication.ok());
+  if (!publication.ok()) return {};
+  auto pub = *publication;
+  ros::TopicEndpoint endpoint = pub->Endpoint();
+  EXPECT_EQ(endpoint.local_owner, ::getpid());
+  advertise_as(&endpoint);
+  EXPECT_TRUE(ros::master()
+                  .RegisterPublisher(topic, std_msgs::String::DataType(),
+                                     ros::TransportChecksum<std_msgs::String>(),
+                                     endpoint)
+                  .ok());
+
+  ros::NodeHandle sub_node("sub");
+  ros::SubscribeOptions options;
+  options.inline_dispatch = true;
+  options.allow_shm = false;
+  options.allow_mcast = false;
+  std::atomic<int> got{0};
+  auto sub = sub_node.subscribe<std_msgs::String>(
+      topic, 8, [&](const std_msgs::String::ConstPtr&) { got++; }, options);
+  EXPECT_TRUE(WaitFor([&] { return pub->Stats().tcp_links == 1; }));
+  std_msgs::String msg;
+  msg.data = "delivered";
+  pub->Publish(ros::Serializer<std_msgs::String>::ToWire(msg));
+  EXPECT_TRUE(WaitFor([&] { return got.load() == 1; }));
+  const ros::PublicationStats stats = pub->Stats();
+  sub.shutdown();
+  ros::master().UnregisterPublisher(topic, endpoint);
+  pub->Shutdown();
+  return stats;
+}
+
+TEST_F(MiddlewareTest, PublicationWithoutUnixNameIsDialedOverTcp) {
+  // A publication that could not bind its AF_UNIX name (someone else holds
+  // it) advertises kNoLocalName: an unshaped same-host subscriber goes
+  // straight to TCP and never dials the name.
+  const ros::PublicationStats stats =
+      WireLinkToEndpoint("/no_unix_name", [](ros::TopicEndpoint* endpoint) {
+        endpoint->local_owner = ros::TopicEndpoint::kNoLocalName;
+      });
+  EXPECT_EQ(stats.tcp_links, 1u);
+  EXPECT_EQ(stats.unix_links, 0u);
+}
+
+TEST_F(MiddlewareTest, UnixNameHeldByAnotherProcessIsRefused) {
+  // To the subscriber a squatter is a listener the kernel reports as some
+  // process other than the advertised owner.  Advertise another pid for a
+  // real publication: the subscriber must drop the AF_UNIX connection it
+  // made and deliver over TCP.
+  const ros::PublicationStats stats =
+      WireLinkToEndpoint("/squatted", [](ros::TopicEndpoint* endpoint) {
+        endpoint->local_owner = ::getppid();
+      });
+  EXPECT_EQ(stats.tcp_links, 1u);
+  EXPECT_EQ(stats.unix_links, 0u);
+}
+
+TEST_F(MiddlewareTest, AdvertisedOwnerIsDialedOverUnix) {
+  // The control for the two cases above: the endpoint as the publication
+  // advertises it lands on AF_UNIX.
+  const ros::PublicationStats stats =
+      WireLinkToEndpoint("/owned", [](ros::TopicEndpoint*) {});
+  EXPECT_EQ(stats.tcp_links, 1u);
+  EXPECT_EQ(stats.unix_links, 1u);
+}
+
+TEST_F(MiddlewareTest, ShutdownReleasesTheUnixName) {
+  auto publication = ros::Publication::Create(
+      "/name_lifetime", std_msgs::String::DataType(),
+      ros::TransportChecksum<std_msgs::String>(), "pub", 8);
+  ASSERT_TRUE(publication.ok());
+  const uint16_t port = (*publication)->port();
+  EXPECT_FALSE(rsf::net::TcpListener::ListenLocal(port).ok());  // held
+  EXPECT_EQ((*publication)->Endpoint().local_owner, ::getpid());
+  (*publication)->Shutdown();
+  // Released, and no longer advertised.
+  EXPECT_EQ((*publication)->Endpoint().local_owner,
+            ros::TopicEndpoint::kNoLocalName);
+  auto rebound = rsf::net::TcpListener::ListenLocal(port);
+  EXPECT_TRUE(rebound.ok()) << rebound.status().ToString();
 }
 
 }  // namespace

@@ -25,6 +25,8 @@
 
 #include "common/clock.h"
 #include "paper_msgs/sfm/Image.h"
+#include "net/framing.h"
+#include "net/socket.h"
 #include "ros/ros.h"
 #include "ros/shm_transport.h"
 #include "sfm/shm_pool.h"
@@ -576,6 +578,59 @@ TEST_F(ShmMiddlewareTest, SubscriberOptOutNeverNegotiates) {
   EXPECT_EQ(stats.shm_descriptors, 0u);
   EXPECT_EQ(stats.shm_inline, 0u);
   EXPECT_EQ(sub.shmZeroCopyCount(), 0u);
+}
+
+/// Performs the TCPROS subscriber handshake over a raw blocking AF_UNIX
+/// connection, asking for shm with `claimed_pid`, and returns the reply.
+ros::ConnectionHeader ShmHandshakeOverUnix(uint16_t port, const char* topic,
+                                           pid_t claimed_pid) {
+  auto conn = rsf::net::TcpConnection::ConnectLocal(port);
+  EXPECT_TRUE(conn.ok()) << conn.status().ToString();
+  if (!conn.ok() || !conn->SetNonBlocking(false).ok()) return {};
+  auto header = ros::MakeSubscriberHeader(
+      topic, Image::DataType(), ros::TransportChecksum<Image>(), "raw_sub");
+  ros::AddShmRequestFields(&header, claimed_pid);
+  EXPECT_TRUE(
+      rsf::net::WriteFrame(*conn, ros::EncodeConnectionHeader(header)).ok());
+  std::vector<uint8_t> reply;
+  uint32_t length = 0;
+  const bool read = rsf::net::ReadFrame(
+                        *conn,
+                        [&](uint32_t len) {
+                          reply.resize(len == 0 ? 1 : len);
+                          return reply.data();
+                        },
+                        &length)
+                        .ok();
+  EXPECT_TRUE(read);
+  if (!read) return {};
+  auto decoded = ros::DecodeConnectionHeader(reply.data(), length);
+  EXPECT_TRUE(decoded.ok());
+  return decoded.ok() ? *decoded : ros::ConnectionHeader{};
+}
+
+TEST_F(ShmMiddlewareTest, ForgedShmPidOnUnixLinkGetsNoGrant) {
+  // On AF_UNIX the publisher knows its peer's pid from the kernel: a
+  // header that claims another process gets plain TCP, and the honest
+  // claim on the same publication still gets the grant.
+  ScopedEnv on("RSF_TRANSPORT_SHM", "1");
+  auto publication = ros::Publication::Create(
+      "/shm_forged", Image::DataType(), ros::TransportChecksum<Image>(),
+      "forged_pub", 8);
+  ASSERT_TRUE(publication.ok());
+  auto pub = *publication;
+
+  const ros::ConnectionHeader forged =
+      ShmHandshakeOverUnix(pub->port(), "/shm_forged", ::getppid());
+  EXPECT_EQ(forged.count("error"), 0u);
+  EXPECT_EQ(forged.count("type"), 1u);
+  EXPECT_EQ(forged.count("shm_ns"), 0u);
+
+  const ros::ConnectionHeader honest =
+      ShmHandshakeOverUnix(pub->port(), "/shm_forged", ::getpid());
+  EXPECT_EQ(honest.count("shm_ns"), 1u);
+
+  pub->Shutdown();
 }
 
 // ---- middleware (cross-process, SIGKILL mid-delivery) ----

@@ -199,6 +199,53 @@ TEST(LanePolicyTest, SlotAcquisitionGatedOnRequestPidAndEnv) {
   EXPECT_FALSE(LanePolicy::ShouldAttemptShm(side));
 }
 
+TEST(LanePolicyTest, PidMismatchRefusesShmGrantWithoutTakingASlot) {
+  // An AF_UNIX peer whose kernel-reported pid contradicts its shm_pid gets
+  // TCP, and no peer slot is acquired for it.
+  LanePolicy::PublisherSide side;
+  side.shm_requested = true;
+  side.peer_pid_known = true;
+  side.shm_enabled = true;
+  side.pid_mismatch = true;
+  EXPECT_FALSE(LanePolicy::ShouldAttemptShm(side));
+  EXPECT_EQ(LanePolicy::GrantWireTier(side),
+            LanePolicy::Grant::kTcpPidMismatch);
+  // The tier being off is reported first: nothing to verify then.
+  side.shm_enabled = false;
+  EXPECT_EQ(LanePolicy::GrantWireTier(side),
+            LanePolicy::Grant::kTcpTierDisabled);
+}
+
+TEST(LanePolicyTest, SameHostUnshapedDialsUnixFirst) {
+  LanePolicy::SubscriberSide side;
+  side.loopback = true;
+  EXPECT_TRUE(LanePolicy::DialLocalFirst(side));
+  // Whatever tier the subscriber asks for, the family rule is the same.
+  side.serialization_free = true;
+  side.shm_enabled = true;
+  side.mcast_enabled = true;
+  EXPECT_TRUE(LanePolicy::DialLocalFirst(side));
+}
+
+TEST(LanePolicyTest, ShapedOrRemoteDialsTcp) {
+  LanePolicy::SubscriberSide side;
+  side.loopback = true;
+  side.shaped = true;  // models a remote machine: fig16 stays on TCP
+  EXPECT_FALSE(LanePolicy::DialLocalFirst(side));
+  side.shaped = false;
+  side.loopback = false;  // non-loopback endpoint
+  EXPECT_FALSE(LanePolicy::DialLocalFirst(side));
+}
+
+TEST(LanePolicyTest, PublicationWithoutUnixNameDialsTcp) {
+  // The endpoint says the publication could not bind its AF_UNIX name
+  // (TopicEndpoint::kNoLocalName): nothing to dial but TCP.
+  LanePolicy::SubscriberSide side;
+  side.loopback = true;
+  side.local_name = false;
+  EXPECT_FALSE(LanePolicy::DialLocalFirst(side));
+}
+
 TEST(LanePolicyTest, EstablishedLinkBecomesTheNegotiatedLane) {
   EXPECT_EQ(LanePolicy::WireLaneKind(true, false), ros::LaneKind::kShm);
   EXPECT_EQ(LanePolicy::WireLaneKind(false, true), ros::LaneKind::kMcast);
