@@ -51,12 +51,12 @@ void FrameReader::Reset() noexcept {
   payload_got_ = 0;
 }
 
-Result<FrameReader::Step> FrameReader::Poll(TcpConnection& conn,
+Result<FrameReader::Step> FrameReader::Poll(ByteStream& in,
                                             const FrameAllocator& alloc,
                                             uint32_t* length) {
   for (;;) {
     if (state_ == State::kHeader) {
-      auto n = conn.ReadSome(
+      auto n = in.ReadSome(
           std::span<uint8_t>(header_ + header_got_, 4 - header_got_));
       if (!n.ok()) {
         if (n.status().code() == StatusCode::kUnavailable &&
@@ -90,8 +90,8 @@ Result<FrameReader::Step> FrameReader::Poll(TcpConnection& conn,
       state_ = State::kPayload;
     }
 
-    auto n = conn.ReadSome(std::span<uint8_t>(payload_ + payload_got_,
-                                              payload_len_ - payload_got_));
+    auto n = in.ReadSome(std::span<uint8_t>(payload_ + payload_got_,
+                                            payload_len_ - payload_got_));
     if (!n.ok()) {
       if (n.status().code() == StatusCode::kUnavailable) {
         return Status(StatusCode::kUnavailable,
@@ -184,14 +184,14 @@ void FrameWriter::Advance(std::deque<PendingFrame>& frames,
   }
 }
 
-Status FrameWriter::Flush(TcpConnection& conn) {
+Status FrameWriter::Flush(ByteStream& out) {
   // Gather up to the adaptive budget of queued frames (header + payload
   // each) into one sendmsg; resume mid-frame via the front frame's offset.
   // Every frame contributes at least its unsent header or payload bytes,
   // so the gather is never empty while frames remain.
   AdaptGatherBudget();
   while (!pending_.empty()) {
-    auto written = conn.WriteSome(
+    auto written = out.WriteSome(
         Gather(pending_, std::min(pending_.size(), gather_budget_)));
     if (!written.ok()) return written.status();
     if (*written == 0) return Status::Ok();  // socket full: resume later

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "net/byte_stream.h"
 #include "net/socket.h"
 
 namespace rsf::net {
@@ -67,11 +68,12 @@ using FrameAllocator = std::function<uint8_t*(uint32_t length)>;
 Status ReadFrame(TcpConnection& conn, const FrameAllocator& alloc,
                  uint32_t* length);
 
-/// Incremental frame parser for nonblocking connections (the reactor's
-/// receive path).  Poll() consumes whatever bytes the socket has, resuming
+/// Incremental frame parser for nonblocking streams (the reactor's
+/// receive path).  Poll() consumes whatever bytes the stream has — a
+/// socket, or a same-host link's ring (net/byte_stream.h) — resuming
 /// mid-header or mid-payload across readiness events; the allocator is
 /// invoked exactly once per frame — as soon as the 4-byte length prefix
-/// completes — so payload bytes stream from the kernel straight into their
+/// completes — so payload bytes are copied once, straight into their
 /// final destination (for SFM topics, a message arena: the one-copy
 /// receive).  The buffer the allocator returns must stay valid until the
 /// frame completes, across however many Poll() calls that takes.
@@ -89,7 +91,7 @@ class FrameReader {
   /// `*length` receives the RAW prefix value — mask with FrameLength()
   /// where a byte count is needed; a raw tag above kFrameTagMax is
   /// rejected as kOutOfRange (corrupted stream).
-  Result<Step> Poll(TcpConnection& conn, const FrameAllocator& alloc,
+  Result<Step> Poll(ByteStream& in, const FrameAllocator& alloc,
                     uint32_t* length);
 
   /// Completion-mode interface (submission backends, net/io_backend.h):
@@ -138,10 +140,11 @@ inline constexpr size_t kGatherFramesMax = 64;
 /// thread-safe — Link locks around every call, since a producer thread
 /// may enqueue, or flush an idle link itself (Link::WriteThrough).
 ///
-/// Every payload crosses into the kernel by an ordinary copying sendmsg
-/// (or IORING_OP_SENDMSG): the one kernel copy is by design, see
-/// DESIGN.md §9.  The user-space side stays copy-free — the queue holds
-/// the shared payload holder, never a copy of its bytes.
+/// Every payload is copied once on its way out: by the kernel in an
+/// ordinary sendmsg (or IORING_OP_SENDMSG), or in user space into a
+/// same-host link's ring (net/stream_ring.h) — see DESIGN.md §9.  The
+/// queue itself is copy-free: it holds the shared payload holder, never
+/// a copy of its bytes.
 class FrameWriter {
  public:
   /// Queues one frame (shared payload: fan-out costs no copy).  `size` is
@@ -156,11 +159,12 @@ class FrameWriter {
   bool Enqueue(std::shared_ptr<const uint8_t[]> payload, uint32_t size,
                size_t max_pending = 0);
 
-  /// Writes as much as the socket accepts.  On success, check HasPending():
-  /// true means the socket buffer filled and the caller should arm
-  /// writability.  An error means the link is dead; PendingFrames() tells
-  /// the caller how many queued frames will never reach the wire.
-  Status Flush(TcpConnection& conn);
+  /// Writes as much as the stream accepts.  On success, check
+  /// HasPending(): true means the socket buffer (or the ring) filled and
+  /// the caller should wait for room.  An error means the link is dead;
+  /// PendingFrames() tells the caller how many queued frames will never
+  /// reach the wire.
+  Status Flush(ByteStream& out);
 
   // ---- completion-mode interface (submission backends) ----
   // The writer stages a batch of frames out of the queue, the link

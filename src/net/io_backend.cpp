@@ -20,6 +20,8 @@ std::atomic<uint64_t> g_epoll_waits{0};
 std::atomic<uint64_t> g_epoll_ctls{0};
 std::atomic<uint64_t> g_wakeup_writes{0};
 std::atomic<uint64_t> g_wakeup_reads{0};
+std::atomic<uint64_t> g_doorbell_writes{0};
+std::atomic<uint64_t> g_doorbell_reads{0};
 
 /// The test hook: RSF_URING_FORCE_UNAVAILABLE=1 makes the probe report
 /// failure even where io_uring works, exercising the auto-fallback path.
@@ -59,6 +61,12 @@ void AddWakeupWrites(uint64_t n) noexcept {
 }
 void AddWakeupReads(uint64_t n) noexcept {
   g_wakeup_reads.fetch_add(n, std::memory_order_relaxed);
+}
+void AddDoorbellWrites(uint64_t n) noexcept {
+  g_doorbell_writes.fetch_add(n, std::memory_order_relaxed);
+}
+void AddDoorbellReads(uint64_t n) noexcept {
+  g_doorbell_reads.fetch_add(n, std::memory_order_relaxed);
 }
 }  // namespace backend_counters
 
@@ -118,6 +126,8 @@ IoSyscallCounters GlobalIoCounters() noexcept {
   out.recv_calls = RecvSyscallCount();
   out.wakeup_writes = g_wakeup_writes.load(std::memory_order_relaxed);
   out.wakeup_reads = g_wakeup_reads.load(std::memory_order_relaxed);
+  out.doorbell_writes = g_doorbell_writes.load(std::memory_order_relaxed);
+  out.doorbell_reads = g_doorbell_reads.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -161,12 +161,16 @@ struct IoSyscallCounters {
   uint64_t recv_calls = 0;     // socket.cpp RecvSyscallCount
   uint64_t wakeup_writes = 0;  // EventLoop eventfd kicks (Post, Stop)
   uint64_t wakeup_reads = 0;   // EventLoop eventfd drains
+  uint64_t doorbell_writes = 0;  // stream-ring doorbell rings (stream_ring.h)
+  uint64_t doorbell_reads = 0;   // stream-ring doorbell drains
 
   /// Transport syscalls: what a delivery actually pays the kernel,
-  /// including the cross-thread loop wake-up a producer's kick costs.
+  /// including the cross-thread loop wake-up a producer's kick costs and
+  /// the doorbells of same-host ring links.
   [[nodiscard]] uint64_t TotalSyscalls() const noexcept {
     return enter_calls + epoll_waits + epoll_ctls + sendmsg_calls +
-           recv_calls + wakeup_writes + wakeup_reads;
+           recv_calls + wakeup_writes + wakeup_reads + doorbell_writes +
+           doorbell_reads;
   }
 };
 IoSyscallCounters GlobalIoCounters() noexcept;
@@ -180,6 +184,8 @@ void AddEpollWaits(uint64_t n) noexcept;
 void AddEpollCtls(uint64_t n) noexcept;
 void AddWakeupWrites(uint64_t n) noexcept;
 void AddWakeupReads(uint64_t n) noexcept;
+void AddDoorbellWrites(uint64_t n) noexcept;
+void AddDoorbellReads(uint64_t n) noexcept;
 }  // namespace backend_counters
 
 }  // namespace rsf::net

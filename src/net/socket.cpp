@@ -257,6 +257,66 @@ Result<size_t> TcpConnection::WriteSome(std::span<const iovec> iov) {
   }
 }
 
+Result<size_t> TcpConnection::ReadSome(std::span<uint8_t> data,
+                                       std::vector<FdGuard>* fds) {
+  if (data.empty()) return size_t{0};
+  alignas(cmsghdr) char control[CMSG_SPACE(kMaxPassedFds * sizeof(int))];
+  for (;;) {
+    iovec iov{data.data(), data.size()};
+    msghdr msg{};
+    msg.msg_iov = &iov;
+    msg.msg_iovlen = 1;
+    msg.msg_control = control;
+    msg.msg_controllen = sizeof(control);
+    g_recv_syscalls.fetch_add(1, std::memory_order_relaxed);
+    const ssize_t n = ::recvmsg(fd_.fd(), &msg, MSG_CMSG_CLOEXEC);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
+      return ErrnoStatus("recvmsg");
+    }
+    for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr;
+         c = CMSG_NXTHDR(&msg, c)) {
+      if (c->cmsg_level != SOL_SOCKET || c->cmsg_type != SCM_RIGHTS) continue;
+      const size_t count = (c->cmsg_len - CMSG_LEN(0)) / sizeof(int);
+      for (size_t i = 0; i < count; ++i) {
+        int fd;
+        std::memcpy(&fd, CMSG_DATA(c) + i * sizeof(int), sizeof(fd));
+        fds->emplace_back(fd);
+      }
+    }
+    if (n == 0) return UnavailableError("connection closed");
+    return static_cast<size_t>(n);
+  }
+}
+
+Result<size_t> TcpConnection::WriteSome(std::span<const iovec> iov,
+                                        std::span<const int> fds) {
+  if (fds.size() > kMaxPassedFds) {
+    return InvalidArgumentError("too many descriptors to pass");
+  }
+  if (fds.empty() || iov.empty()) return WriteSome(iov);
+  alignas(cmsghdr) char control[CMSG_SPACE(kMaxPassedFds * sizeof(int))] = {};
+  for (;;) {
+    msghdr msg{};
+    msg.msg_iov = const_cast<iovec*>(iov.data());
+    msg.msg_iovlen = std::min(iov.size(), size_t{IOV_MAX});
+    msg.msg_control = control;
+    msg.msg_controllen = CMSG_SPACE(fds.size() * sizeof(int));
+    cmsghdr* c = CMSG_FIRSTHDR(&msg);
+    c->cmsg_level = SOL_SOCKET;
+    c->cmsg_type = SCM_RIGHTS;
+    c->cmsg_len = CMSG_LEN(fds.size() * sizeof(int));
+    std::memcpy(CMSG_DATA(c), fds.data(), fds.size() * sizeof(int));
+    g_write_syscalls.fetch_add(1, std::memory_order_relaxed);
+    const ssize_t n = ::sendmsg(fd_.fd(), &msg, MSG_NOSIGNAL);
+    if (n >= 0) return static_cast<size_t>(n);
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
+    return ErrnoStatus("sendmsg(SCM_RIGHTS)");
+  }
+}
+
 Status TcpConnection::SetNonBlocking(bool enabled) {
   const int flags = ::fcntl(fd_.fd(), F_GETFL, 0);
   if (flags < 0) return ErrnoStatus("fcntl(F_GETFL)");

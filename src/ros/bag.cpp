@@ -177,13 +177,16 @@ struct TopicRecorder::Impl : std::enable_shared_from_this<TopicRecorder::Impl> {
     std::weak_ptr<Impl> weak = weak_from_this();
 
     rsf::net::Link::Callbacks callbacks;
-    callbacks.make_handshake_request = [topic = topic] {
-      return EncodeConnectionHeader(
-          MakeSubscriberHeader(topic, "*", "*", "rsfbag_record"));
+    callbacks.make_handshake_request = [topic = topic](bool ring_offered) {
+      auto header = MakeSubscriberHeader(topic, "*", "*", "rsfbag_record");
+      if (ring_offered) AddRingField(&header);
+      return EncodeConnectionHeader(header);
     };
-    callbacks.on_handshake_reply = [rl](const uint8_t* data, uint32_t length) {
+    callbacks.on_handshake_reply = [rl](const uint8_t* data, uint32_t length,
+                                        rsf::net::Link::RingHandshake* ring) {
       auto header = DecodeConnectionHeader(data, length);
       if (!header.ok() || header->count("error") != 0) return false;
+      ring->granted = HasRingField(*header);
       if (const auto it = header->find("type"); it != header->end()) {
         rl->datatype = it->second;
       }
@@ -204,8 +207,8 @@ struct TopicRecorder::Impl : std::enable_shared_from_this<TopicRecorder::Impl> {
       if (auto self = weak.lock()) self->RemoveLink(rl);
     };
 
-    // The recorder dials like an unshaped subscriber: AF_UNIX first for a
-    // same-host publisher.
+    // The recorder dials like an unshaped subscriber: AF_UNIX first, with
+    // a stream ring on offer, for a same-host publisher.
     LanePolicy::SubscriberSide side;
     side.loopback = endpoint.loopback();
     side.local_name = endpoint.local_owner != TopicEndpoint::kNoLocalName;

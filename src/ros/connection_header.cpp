@@ -183,4 +183,11 @@ ShmGrant ParseShmGrant(const ConnectionHeader& reply, size_t max_slots) {
   return grant;
 }
 
+void AddRingField(ConnectionHeader* header) { (*header)["ring"] = "1"; }
+
+bool HasRingField(const ConnectionHeader& header) {
+  const auto it = header.find("ring");
+  return it != header.end() && it->second == "1";
+}
+
 }  // namespace ros

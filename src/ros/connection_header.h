@@ -102,4 +102,15 @@ struct McastGrant {
 };
 [[nodiscard]] McastGrant ParseMcastGrant(const ConnectionHeader& reply);
 
+// ---- stream-ring negotiation field (DESIGN.md §8) ----
+//
+// A same-host subscriber whose link attached a stream ring to its request
+// (net/stream_ring.h) says so with `ring=1`; a publisher that maps and
+// grants the ring answers `ring=1`.  One field, both directions.
+
+/// Stamps `ring=1` onto a request or a reply.
+void AddRingField(ConnectionHeader* header);
+/// Whether a request asked for, or a reply granted, the stream ring.
+[[nodiscard]] bool HasRingField(const ConnectionHeader& header);
+
 }  // namespace ros

@@ -97,6 +97,7 @@ Publication::~Publication() { Shutdown(); }
 /// side effect is acquiring the peer slot a grant hands to the lane.
 bool Publication::EvaluateHandshake(const uint8_t* request, uint32_t length,
                                     std::vector<uint8_t>* reply_frame,
+                                    rsf::net::Link::RingHandshake* ring,
                                     WireLaneContext* ctx) {
   auto header = DecodeConnectionHeader(request, length);
   rsf::Status valid = header.ok()
@@ -148,6 +149,25 @@ bool Publication::EvaluateHandshake(const uint8_t* request, uint32_t length,
         RSF_WARN("no free shm peer slot for subscriber on %s "
                  "(all %zu busy); falling back to TCP",
                  topic_.c_str(), sfm::shm::kMaxPeers);
+        break;
+    }
+
+    // The stream ring carries whatever this link sends, shm descriptors
+    // and mcast repairs included, so it is decided on its own.
+    LanePolicy::RingPublisherSide ring_side;
+    ring_side.ring_requested = HasRingField(*header);
+    ring_side.ring_attached = ring->offered;
+    switch (LanePolicy::GrantRing(ring_side)) {
+      case LanePolicy::RingGrant::kRing:
+        ring->granted = true;
+        AddRingField(&reply);
+        break;
+      case LanePolicy::RingGrant::kStreamNotRequested:
+        break;
+      case LanePolicy::RingGrant::kStreamNoRing:
+        RSF_INFO("subscriber on %s asked for a stream ring but none "
+                 "arrived intact; staying on the socket",
+                 topic_.c_str());
         break;
     }
 
@@ -250,10 +270,11 @@ void Publication::OnAcceptReady(rsf::net::TcpListener& listener) {
     rsf::net::Link::Callbacks callbacks;
     callbacks.on_handshake_request =
         [weak, ctx](const uint8_t* data, uint32_t length,
-                    std::vector<uint8_t>* reply) {
+                    std::vector<uint8_t>* reply,
+                    rsf::net::Link::RingHandshake* ring) {
           auto self = weak.lock();
           return self != nullptr &&
-                 self->EvaluateHandshake(data, length, reply, ctx.get());
+                 self->EvaluateHandshake(data, length, reply, ring, ctx.get());
         };
     callbacks.on_established =
         [weak, ctx](const std::shared_ptr<rsf::net::Link>& link) {
@@ -641,6 +662,7 @@ PublicationStats Publication::Stats() const {
           break;
       }
       if (description.local) ++stats.unix_links;
+      if (description.ring) ++stats.ring_links;
     }
   };
   count(lanes_);

@@ -74,6 +74,8 @@ struct PublicationStats {
                                   // links, either socket family
   size_t unix_links = 0;          // ... of which ride a same-host AF_UNIX
                                   // socket (the rest: TCP)
+  size_t ring_links = 0;          // ... of which stream their frames through
+                                  // a shared-memory ring (net/stream_ring.h)
   size_t shm_links = 0;           // ... of which negotiated the shm tier
   size_t mcast_links = 0;         // ... of which joined the multicast group
   size_t intra_links = 0;         // live in-process subscriber links
@@ -195,6 +197,7 @@ class Publication : public std::enable_shared_from_this<Publication> {
   /// lane built at establishment.
   bool EvaluateHandshake(const uint8_t* request, uint32_t length,
                          std::vector<uint8_t>* reply_frame,
+                         rsf::net::Link::RingHandshake* ring,
                          WireLaneContext* ctx);
 
   /// Lazily creates (and caches) the topic's multicast group sender.

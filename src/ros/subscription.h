@@ -388,14 +388,16 @@ class Subscription final
                                         datatype = std::string(M::DataType()),
                                         md5 = transport_md5_,
                                         callerid = callerid_, want_shm,
-                                        want_mcast] {
+                                        want_mcast](bool ring_offered) {
       auto header = MakeSubscriberHeader(topic, datatype, md5, callerid);
       if (want_shm) AddShmRequestFields(&header, ::getpid());
       if (want_mcast) AddMcastRequestFields(&header);
+      if (ring_offered) AddRingField(&header);
       return EncodeConnectionHeader(header);
     };
-    callbacks.on_handshake_reply = [topic = topic_, wl](const uint8_t* data,
-                                                        uint32_t length) {
+    callbacks.on_handshake_reply =
+        [topic = topic_, wl](const uint8_t* data, uint32_t length,
+                             rsf::net::Link::RingHandshake* ring) {
       auto header = DecodeConnectionHeader(data, length);
       if (!header.ok()) return false;
       if (const auto it = header->find("error"); it != header->end()) {
@@ -403,6 +405,7 @@ class Subscription final
                  it->second.c_str());
         return false;
       }
+      ring->granted = HasRingField(*header);
       // Publisher granted the shm tier: remember its namespace and our
       // refcount slot.  Loop-thread write, before any frame can arrive.
       // A malformed grant degrades to plain TCP.
@@ -606,6 +609,11 @@ class Subscription final
       if (auto self = weak.lock()) self->OnMcastReadable(wl);
     });
     wl->mcast.fd_registered = true;
+    // The join ack: in the group from here on.  The publisher repairs, over
+    // the link, what it sent the group between its grant and this join —
+    // no later seq may ever expose that gap to a NACK.
+    SendMcastControl(wl, McastControlKind::kAck, wl->mcast.engine->contig(),
+                     0);
   }
 
   /// The engine's alloc hook: stages the per-seq receive arena the frame's

@@ -95,7 +95,7 @@ class TcpLane final : public TransportLane {
   void Flush() override { link_->FlushOnLoop(); }
 
   [[nodiscard]] LaneDescription Describe() const override {
-    return {LaneKind::kTcp, true, link_->local()};
+    return {LaneKind::kTcp, true, link_->local(), link_->ring()};
   }
 
  private:
@@ -226,7 +226,7 @@ class ShmLane final : public TransportLane {
   void Flush() override { link_->FlushOnLoop(); }
 
   [[nodiscard]] LaneDescription Describe() const override {
-    return {LaneKind::kShm, true, link_->local()};
+    return {LaneKind::kShm, true, link_->local(), link_->ring()};
   }
 
  private:
@@ -317,6 +317,16 @@ class McastLane final : public TransportLane {
     }
     switch (kind) {
       case McastControlKind::kAck: {
+        if (!joined_ && lo + 1 == join_seq_) {
+          // The join ack (the subscriber is in the group now): repair what
+          // the group got before it joined.  Anything that did arrive
+          // twice is dropped by its engine.
+          joined_ = true;
+          const uint64_t last = sender_->LastSeq();
+          if (last >= join_seq_) ServeNack(join_seq_, last);
+          return;
+        }
+        joined_ = true;
         // Cumulative; acks can reorder behind repairs, so only advance.
         uint64_t prev = last_acked_.load(std::memory_order_relaxed);
         while (prev < lo && !last_acked_.compare_exchange_weak(
@@ -349,7 +359,7 @@ class McastLane final : public TransportLane {
     // cohort membership (and mcast census entry) ended at the leave.
     return {tcp_fallback_.load(std::memory_order_acquire) ? LaneKind::kTcp
                                                           : LaneKind::kMcast,
-            true, link_->local()};
+            true, link_->local(), link_->ring()};
   }
 
  private:
@@ -412,6 +422,7 @@ class McastLane final : public TransportLane {
   const std::string topic_;
   const std::shared_ptr<McastGroupSender> sender_;
   const uint64_t join_seq_;
+  bool joined_ = false;  // the join ack arrived (loop thread)
   const uint64_t eviction_lag_;
   const McastFallbackFn on_fallback_;
   std::atomic<uint64_t> last_acked_;

@@ -140,6 +140,7 @@ struct LaneDescription {
   LaneKind kind = LaneKind::kTcp;
   bool alive = true;   // intra lanes: subscriber still reachable
   bool local = false;  // wire lanes: the link rides a same-host AF_UNIX socket
+  bool ring = false;   // ... and its frames cross in a stream ring
 };
 
 /// One subscriber's delivery path.  See the threading contract above.
@@ -298,6 +299,28 @@ class LanePolicy {
       const McastPublisherSide& in) noexcept {
     return in.mcast_requested && in.mcast_enabled && !in.shm_negotiated &&
            in.above_threshold;
+  }
+
+  // ---- publisher side: whether a link's frames take the stream ring ----
+  //
+  // Every subscriber dial that lands on AF_UNIX offers a ring (Link); the
+  // publisher grants it whenever the request asks and the ring's
+  // descriptors arrived and mapped cleanly.  It is orthogonal to the tiers above: shm descriptors and
+  // mcast repairs ride the ring like data frames.
+  struct RingPublisherSide {
+    bool ring_requested = false;  // header carried ring=1
+    bool ring_attached = false;   // Link::RingHandshake::offered
+  };
+  enum class RingGrant : uint8_t {
+    kRing,              // reply carries ring=1; frames cross in the ring
+    kStreamNotRequested,  // subscriber never asked; the socket, silent
+    kStreamNoRing,      // asked, but no usable ring arrived (a TCP
+                        // fallback, or it failed its checks); the socket
+  };
+  [[nodiscard]] static RingGrant GrantRing(
+      const RingPublisherSide& in) noexcept {
+    if (!in.ring_requested) return RingGrant::kStreamNotRequested;
+    return in.ring_attached ? RingGrant::kRing : RingGrant::kStreamNoRing;
   }
 
   // ---- established side: which lane a wire link becomes ----

@@ -18,10 +18,14 @@ size_t AlignUp(size_t value, size_t align) noexcept {
 }
 
 std::mutex g_capacity_mutex;
-std::map<std::string, size_t>& CapacityOverrides() {
-  static std::map<std::string, size_t> overrides;
+// Transparent comparator: lookups by string_view build no std::string.
+std::map<std::string, size_t, std::less<>>& CapacityOverrides() {
+  static std::map<std::string, size_t, std::less<>> overrides;
   return overrides;
 }
+// Set, under g_capacity_mutex, by the first SetArenaCapacity and never
+// cleared: until then every lookup takes the default without the lock.
+std::atomic<bool> g_capacity_overridden{false};
 
 // ---- arena block pool ----
 //
@@ -478,16 +482,25 @@ MessageManager& gmm() {
   return manager;
 }
 
-void SetArenaCapacity(const std::string& datatype, size_t bytes) {
+void SetArenaCapacity(std::string_view datatype, size_t bytes) {
   std::lock_guard<std::mutex> lock(g_capacity_mutex);
+  auto& overrides = CapacityOverrides();
   if (bytes == 0) {
-    CapacityOverrides().erase(datatype);
+    if (const auto it = overrides.find(datatype); it != overrides.end()) {
+      overrides.erase(it);
+    }
   } else {
-    CapacityOverrides()[datatype] = bytes;
+    overrides.insert_or_assign(std::string(datatype), bytes);
+    g_capacity_overridden.store(true, std::memory_order_release);
   }
 }
 
-size_t ArenaCapacityFor(const std::string& datatype, size_t default_bytes) {
+size_t ArenaCapacityFor(std::string_view datatype, size_t default_bytes) {
+  // Runs on every cross-process message (operator new on the publisher,
+  // the receive arena on the subscriber): no lock until an override exists.
+  if (!g_capacity_overridden.load(std::memory_order_acquire)) {
+    return default_bytes;
+  }
   std::lock_guard<std::mutex> lock(g_capacity_mutex);
   const auto& overrides = CapacityOverrides();
   const auto it = overrides.find(datatype);

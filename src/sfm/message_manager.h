@@ -42,6 +42,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sfm {
@@ -290,9 +291,10 @@ MessageManager& gmm();
 /// Overrides the arena capacity for a datatype at run time (takes precedence
 /// over the IDL-declared capacity baked into the generated header).  Pass 0
 /// to remove the override.
-void SetArenaCapacity(const std::string& datatype, size_t bytes);
+void SetArenaCapacity(std::string_view datatype, size_t bytes);
 
-/// Capacity to use for `datatype` given its generated default.
-size_t ArenaCapacityFor(const std::string& datatype, size_t default_bytes);
+/// Capacity to use for `datatype` given its generated default.  Lock-free
+/// and allocation-free until the first SetArenaCapacity in the process.
+size_t ArenaCapacityFor(std::string_view datatype, size_t default_bytes);
 
 }  // namespace sfm

@@ -166,10 +166,11 @@ TEST_P(IoBackendLoop, SubmissionBatchingCutsSyscallsPerDelivery) {
     LinkPair* raw = pair.get();
 
     Link::Callbacks client_cb;
-    client_cb.make_handshake_request = [] {
+    client_cb.make_handshake_request = [](bool) {
       return std::vector<uint8_t>{'h', 'i'};
     };
-    client_cb.on_handshake_reply = [](const uint8_t*, uint32_t length) {
+    client_cb.on_handshake_reply = [](const uint8_t*, uint32_t length,
+                                      Link::RingHandshake*) {
       return length > 0;
     };
     client_cb.alloc = [raw](uint32_t length) {
@@ -187,7 +188,8 @@ TEST_P(IoBackendLoop, SubmissionBatchingCutsSyscallsPerDelivery) {
     ASSERT_TRUE(conn.ok());
     Link::Callbacks server_cb;
     server_cb.on_handshake_request = [](const uint8_t*, uint32_t,
-                                        std::vector<uint8_t>* reply) {
+                                        std::vector<uint8_t>* reply,
+                                        Link::RingHandshake*) {
       *reply = {'o', 'k'};
       return true;
     };

@@ -140,8 +140,9 @@ struct LinkHarness {
   /// records delivered frames.
   Link::Callbacks ClientCallbacks(std::vector<uint8_t> request) {
     Link::Callbacks callbacks;
-    callbacks.make_handshake_request = [request] { return request; };
-    callbacks.on_handshake_reply = [](const uint8_t*, uint32_t length) {
+    callbacks.make_handshake_request = [request](bool) { return request; };
+    callbacks.on_handshake_reply = [](const uint8_t*, uint32_t length,
+                                      Link::RingHandshake*) {
       return length > 0;
     };
     callbacks.alloc = [this](uint32_t length) {
@@ -429,7 +430,8 @@ TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   ASSERT_TRUE(conn.ok());
   Link::Callbacks callbacks;
   callbacks.on_handshake_request = [](const uint8_t* data, uint32_t length,
-                                      std::vector<uint8_t>* reply) {
+                                      std::vector<uint8_t>* reply,
+                                      Link::RingHandshake*) {
     EXPECT_EQ(std::vector<uint8_t>(data, data + length), Bytes("subscribe-me"));
     *reply = Bytes("accepted");
     return true;
@@ -492,7 +494,8 @@ TEST_P(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
   ASSERT_TRUE(conn.ok());
   Link::Callbacks callbacks;
   callbacks.on_handshake_request = [](const uint8_t*, uint32_t,
-                                      std::vector<uint8_t>* reply) {
+                                      std::vector<uint8_t>* reply,
+                                      Link::RingHandshake*) {
     *reply = Bytes("error=no");
     return false;
   };
@@ -613,7 +616,8 @@ std::shared_ptr<uint8_t[]> SharedCopy(const std::vector<uint8_t>& bytes) {
 Link::Callbacks AcceptingServerCallbacks(LinkHarness& harness) {
   Link::Callbacks callbacks;
   callbacks.on_handshake_request = [](const uint8_t*, uint32_t,
-                                      std::vector<uint8_t>* reply) {
+                                      std::vector<uint8_t>* reply,
+                                      Link::RingHandshake*) {
     *reply = Bytes("accepted");
     return true;
   };
@@ -662,8 +666,12 @@ TEST_P(LinkTest, LargeFramesSurvivePartialSendsAndReleaseHolders) {
 
   ASSERT_TRUE(WaitFor([&] { return peer_done.load(); }));
   ASSERT_TRUE(WaitFor([&] { return weak.expired(); }));
-  // +1: the handshake reply frame flows through the same writer.
-  EXPECT_EQ(link->stats().frames_sent, static_cast<uint64_t>(kFrames) + 1);
+  // +1: the handshake reply frame flows through the same writer.  The
+  // writer drops a frame's holder inside its flush and publishes the sent
+  // count just after it, so wait for the count rather than read it once.
+  EXPECT_TRUE(WaitFor([&] {
+    return link->stats().frames_sent == static_cast<uint64_t>(kFrames) + 1;
+  })) << "frames_sent " << link->stats().frames_sent;
 
   release_peer.store(true);
   client.join();

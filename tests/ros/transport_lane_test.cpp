@@ -246,6 +246,18 @@ TEST(LanePolicyTest, PublicationWithoutUnixNameDialsTcp) {
   EXPECT_FALSE(LanePolicy::DialLocalFirst(side));
 }
 
+TEST(LanePolicyTest, GrantRingMatrix) {
+  // Asked and mapped cleanly: the ring.  Not asked: the socket, silently,
+  // even if descriptors arrived.  Asked but nothing usable arrived (a TCP
+  // fallback, or a ring that failed its checks): the socket.
+  using Grant = LanePolicy::RingGrant;
+  EXPECT_EQ(LanePolicy::GrantRing({true, true}), Grant::kRing);
+  EXPECT_EQ(LanePolicy::GrantRing({false, true}), Grant::kStreamNotRequested);
+  EXPECT_EQ(LanePolicy::GrantRing({false, false}),
+            Grant::kStreamNotRequested);
+  EXPECT_EQ(LanePolicy::GrantRing({true, false}), Grant::kStreamNoRing);
+}
+
 TEST(LanePolicyTest, EstablishedLinkBecomesTheNegotiatedLane) {
   EXPECT_EQ(LanePolicy::WireLaneKind(true, false), ros::LaneKind::kShm);
   EXPECT_EQ(LanePolicy::WireLaneKind(false, true), ros::LaneKind::kMcast);
@@ -485,7 +497,7 @@ TEST_F(TransportLaneTest, PinLedgerEvictionCountsAsDrops) {
   auto ctrl_buf = std::make_shared<std::vector<uint8_t>>();
 
   rsf::net::Link::Callbacks callbacks;
-  callbacks.make_handshake_request = [] {
+  callbacks.make_handshake_request = [](bool) {
     auto header = ros::MakeSubscriberHeader(
         "/pin_evict", Image::DataType(), ros::TransportChecksum<Image>(),
         "stalled_sub");
@@ -493,7 +505,8 @@ TEST_F(TransportLaneTest, PinLedgerEvictionCountsAsDrops) {
     return ros::EncodeConnectionHeader(header);
   };
   callbacks.on_handshake_reply = [&granted](const uint8_t* data,
-                                            uint32_t length) {
+                                            uint32_t length,
+                                            rsf::net::Link::RingHandshake*) {
     auto header = ros::DecodeConnectionHeader(data, length);
     if (!header.ok() || header->count("error") != 0) return false;
     const ros::ShmGrant grant =

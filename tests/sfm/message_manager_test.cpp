@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <string_view>
+#include <thread>
+#include <vector>
 
 #include "sfm/alert.h"
 
@@ -213,6 +217,45 @@ TEST(ArenaCapacity, RuntimeOverrideWinsAndClears) {
   EXPECT_EQ(ArenaCapacityFor("x/Y", 1000), 4096u);
   SetArenaCapacity("x/Y", 0);
   EXPECT_EQ(ArenaCapacityFor("x/Y", 1000), 1000u);
+}
+
+TEST(ArenaCapacity, OverrideTakesEffectAfterLockFreeLookups) {
+  // Every lookup before the process's first override takes the lock-free
+  // default path; the first override must still be seen at once, and
+  // removing it must restore the default.  The name is longer than a
+  // std::string's inline buffer, the case the string_view lookup is for.
+  constexpr std::string_view kType = "sensor_msgs/ImageWithALongName";
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(ArenaCapacityFor(kType, 512), 512u);
+  SetArenaCapacity(kType, 8192);
+  EXPECT_EQ(ArenaCapacityFor(kType, 512), 8192u);
+  EXPECT_EQ(ArenaCapacityFor("sensor_msgs/Other", 512), 512u);
+  SetArenaCapacity(kType, 0);
+  EXPECT_EQ(ArenaCapacityFor(kType, 512), 512u);
+  SetArenaCapacity("never/Set", 0);  // removing an absent override is a no-op
+  EXPECT_EQ(ArenaCapacityFor("never/Set", 7), 7u);
+}
+
+TEST(ArenaCapacity, ConcurrentLookupsSeeAnOverrideSetMidRun) {
+  // Readers race the process's first override (the switch off the
+  // lock-free path); under the thread sanitizer this is the stress test
+  // for the flag-then-lock handoff.  Each reader must come to see it.
+  constexpr std::string_view kType = "race/ArenaCapacityOverride";
+  std::atomic<int> saw_override{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&] {
+      for (;;) {
+        const size_t capacity = ArenaCapacityFor(kType, 100);
+        ASSERT_TRUE(capacity == 100 || capacity == 4000) << capacity;
+        if (capacity == 4000) break;
+      }
+      saw_override.fetch_add(1);
+    });
+  }
+  SetArenaCapacity(kType, 4000);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(saw_override.load(), 4);
+  SetArenaCapacity(kType, 0);
 }
 
 }  // namespace
