@@ -36,8 +36,9 @@ class SeedMutexManager {
  public:
   void* Allocate(const char* datatype, size_t capacity, size_t skeleton) {
     sfm::PooledBlock pooled = sfm::AcquireArenaBlock(capacity);
-    auto block = std::shared_ptr<uint8_t[]>(pooled.release(),
-                                            sfm::PooledDeleter{capacity});
+    // Copy the deleter: it carries the block's size class and record.
+    const sfm::PooledDeleter deleter = pooled.get_deleter();
+    auto block = std::shared_ptr<uint8_t[]>(pooled.release(), deleter);
     uint8_t* start = block.get();
     std::memset(start, 0, skeleton);
     Record record;

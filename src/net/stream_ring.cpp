@@ -46,6 +46,10 @@ void Ring(int fd) noexcept {
       ::send(fd, &byte, sizeof(byte), MSG_DONTWAIT | MSG_NOSIGNAL);
 }
 
+/// How far apart a writer checks for an empty ring to rewind: at each
+/// page boundary of the lap (the header is page-aligned, so are the data).
+constexpr size_t kRewindCheckBytes = kStreamRingHeaderBytes;
+
 }  // namespace
 
 Result<std::unique_ptr<StreamRing>> StreamRing::Create() {
@@ -156,18 +160,24 @@ bool StreamRing::HasUnread() const noexcept {
   return header_->head.load(std::memory_order_acquire) != position_;
 }
 
+uint64_t NextPollNanos(uint64_t poll_nanos, uint64_t slept_at,
+                       uint64_t rang_at) noexcept {
+  poll_nanos = std::min(poll_nanos, kStreamRingPollNanos);
+  if (rang_at < slept_at) return poll_nanos;
+  if (rang_at - slept_at >= kStreamRingPollNanos) return 0;
+  return poll_nanos == 0 ? kStreamRingPollNanos / 8
+                         : std::min(2 * poll_nanos, kStreamRingPollNanos);
+}
+
 Result<size_t> StreamRing::ReadSome(std::span<uint8_t> data) {
   if (slept_at_ != 0) {
-    // The first read since this reader slept.  A sleep shorter than the
-    // poll ceiling means a poll that long would have caught the frame that
-    // woke it: poll longer next time.  A longer sleep means the writer is
-    // not streaming: stop polling.  (KVM's halt-polling rule.)
-    const uint64_t slept = MonotonicNanos() - slept_at_;
+    // The first read since this reader slept.  The writer's stamp, not
+    // this thread's clock, ends the sleep: the wake-up latency says
+    // nothing about how soon the writer's next frame came.
+    poll_nanos_ =
+        NextPollNanos(poll_nanos_, slept_at_,
+                      header_->rang_at.load(std::memory_order_acquire));
     slept_at_ = 0;
-    poll_nanos_ = slept >= kStreamRingPollNanos ? 0
-                  : poll_nanos_ == 0
-                      ? kStreamRingPollNanos / 8
-                      : std::min(2 * poll_nanos_, kStreamRingPollNanos);
   }
   uint64_t head = header_->head.load(std::memory_order_acquire);
   auto readable = Readable(head);
@@ -182,12 +192,15 @@ Result<size_t> StreamRing::ReadSome(std::span<uint8_t> data) {
   }
   if (*readable == 0) {
     // About to sleep: flag it, then look once more.  Either the writer's
-    // check sees the flag and rings, or this load sees its bytes.
+    // check sees the flag and rings, or this load sees its bytes.  The
+    // sleep starts before the flag, so any ring of this sleep is stamped
+    // after it.
+    const uint64_t now = MonotonicNanos();
     header_->reader_sleeping.store(1, std::memory_order_seq_cst);
     readable = Readable(header_->head.load(std::memory_order_seq_cst));
     if (!readable.ok()) return readable.status();
     if (*readable == 0) {
-      slept_at_ = MonotonicNanos();
+      slept_at_ = now;
       return size_t{0};
     }
     header_->reader_sleeping.store(0, std::memory_order_relaxed);
@@ -199,17 +212,28 @@ Result<size_t> StreamRing::ReadSome(std::span<uint8_t> data) {
   std::memcpy(data.data(), data_ + offset, first);
   std::memcpy(data.data() + first, data_, n - first);
   position_ += n;
+  // A frame's header read leaves its payload unread: the payload read
+  // that empties the ring publishes both.
+  const uint64_t unread = *readable - n;
+  if (unread == 0 || position_ - tail_ >= kStreamRingPublishBytes) {
+    PublishTail(unread);
+  }
+  return n;
+}
+
+void StreamRing::PublishTail(uint64_t unread) noexcept {
+  tail_ = position_;
   header_->tail.store(position_, std::memory_order_seq_cst);
   // Wake a waiting writer only once half the ring is free, as a socket
   // wakes its writer (sk_write_space): a doorbell per few freed bytes
   // would cost a wake-up per sliver of a large frame.  This reader keeps
-  // reading until the ring is empty, so that point always comes.
-  if (*readable - n <= kStreamRingCapacity / 2 &&
+  // reading until the ring is empty, and publishes there, so that point
+  // always comes.
+  if (unread <= kStreamRingCapacity / 2 &&
       header_->writer_waiting.load(std::memory_order_seq_cst) != 0 &&
       header_->writer_waiting.exchange(0, std::memory_order_acq_rel) != 0) {
     Ring(bell_.fd());
   }
-  return n;
 }
 
 Result<uint64_t> StreamRing::EffectiveTail(uint64_t tail) noexcept {
@@ -226,10 +250,18 @@ Result<uint64_t> StreamRing::EffectiveTail(uint64_t tail) noexcept {
   return tail;
 }
 
+Status StreamRing::ReloadTail(std::memory_order order) noexcept {
+  auto tail = EffectiveTail(header_->tail.load(order));
+  if (!tail.ok()) return tail.status();
+  tail_ = *tail;
+  return Status::Ok();
+}
+
 void StreamRing::PublishHead() noexcept {
   header_->head.store(position_, std::memory_order_seq_cst);
   if (header_->reader_sleeping.load(std::memory_order_seq_cst) != 0 &&
       header_->reader_sleeping.exchange(0, std::memory_order_acq_rel) != 0) {
+    header_->rang_at.store(MonotonicNanos(), std::memory_order_release);
     Ring(bell_.fd());
   }
 }
@@ -239,23 +271,30 @@ Result<size_t> StreamRing::WriteSome(std::span<const iovec> iov) {
   for (const iovec& v : iov) total += v.iov_len;
   if (total == 0) return size_t{0};
 
-  auto tail = EffectiveTail(header_->tail.load(std::memory_order_acquire));
-  if (!tail.ok()) return tail.status();
-  if (*tail == position_ && (position_ & (kStreamRingCapacity - 1)) != 0 &&
-      rewind_pending_ == kNoRewind) {
-    // Empty: start the next lap, so the stream stays on the first pages.
-    header_->rewind_from.store(position_, std::memory_order_relaxed);
-    rewind_pending_ = position_;
-    position_ = LapStart(position_);
-    tail = position_;
+  const size_t offset = position_ & (kStreamRingCapacity - 1);
+  if (offset != 0 && (offset - 1) / kRewindCheckBytes !=
+                         (offset + total - 1) / kRewindCheckBytes) {
+    // The write would start a page this lap has not touched: if the ring
+    // is empty, start the next lap instead, so a stream the reader keeps
+    // up with stays on the first pages.
+    RSF_RETURN_IF_ERROR(ReloadTail(std::memory_order_acquire));
+    if (tail_ == position_ && rewind_pending_ == kNoRewind) {
+      header_->rewind_from.store(position_, std::memory_order_relaxed);
+      rewind_pending_ = position_;
+      position_ = LapStart(position_);
+      tail_ = position_;
+    }
   }
-  uint64_t room = kStreamRingCapacity - (position_ - *tail);
+  uint64_t room = kStreamRingCapacity - (position_ - tail_);
+  if (room < total) {
+    RSF_RETURN_IF_ERROR(ReloadTail(std::memory_order_acquire));
+    room = kStreamRingCapacity - (position_ - tail_);
+  }
   if (room == 0) {
     // Full: flag it, then look once more (the mirror of ReadSome's sleep).
     header_->writer_waiting.store(1, std::memory_order_seq_cst);
-    tail = EffectiveTail(header_->tail.load(std::memory_order_seq_cst));
-    if (!tail.ok()) return tail.status();
-    room = kStreamRingCapacity - (position_ - *tail);
+    RSF_RETURN_IF_ERROR(ReloadTail(std::memory_order_seq_cst));
+    room = kStreamRingCapacity - (position_ - tail_);
     if (room == 0) return size_t{0};
     header_->writer_waiting.store(0, std::memory_order_relaxed);
   }

@@ -40,8 +40,8 @@
 // Sleep and doorbells: a reader that finds the ring empty sets
 // `reader_sleeping`, re-checks `head`, and only then returns "nothing
 // now" (its loop sleeps in epoll on its doorbell end).  A writer that
-// publishes bytes and sees the flag clears it and rings — one
-// nonblocking send.  The two sides' store-then-load pairs are
+// publishes bytes and sees the flag clears it, stamps its clock, and
+// rings — one nonblocking send.  The two sides' store-then-load pairs are
 // sequentially consistent, so at least one of them sees the other: no
 // wake-up is lost and no doorbell is rung while the reader is awake.  A
 // full ring is the mirror image: the writer sets `writer_waiting`, the
@@ -50,10 +50,10 @@
 // waits for the other by spinning, with one bounded exception: a reader
 // its owner lets poll (AllowPolling: in Link, only while the ring is the
 // one link on its loop, so no other link's events wait behind the poll)
-// polls an empty ring for a while before it sleeps, as long as its sleeps
-// keep ending within kStreamRingPollNanos — the writer is streaming —
-// because a sleep and wake-up costs more than the gap between a burst's
-// frames.
+// polls an empty ring for a while before it sleeps, as long as the
+// writer keeps ringing within kStreamRingPollNanos of the sleep — the
+// writer is streaming — because a sleep and wake-up costs more than the
+// gap between a burst's frames (NextPollNanos).
 //
 // Threading: one reader thread and one writer thread (in Link: the
 // subscriber's loop; the publisher's writers under Link::write_mutex_).
@@ -89,15 +89,31 @@ inline constexpr size_t kStreamRingPublishBytes = 64 * 1024;
 
 /// The ceiling on how long a reader polls an empty ring before it sleeps.
 /// A reader allowed to poll (StreamRing::AllowPolling) polls only while
-/// its sleeps keep ending sooner than this (the writer is streaming); one
-/// longer sleep stops the polling, so a 1 kHz stream never polls.  See EXPERIMENTS.md, "Same-host stream
+/// the writer keeps ringing it sooner than this after it went to sleep
+/// (the writer is streaming); one longer gap stops the polling, so a
+/// 1 kHz stream never polls.  See EXPERIMENTS.md, "Same-host stream
 /// rings".
 inline constexpr uint64_t kStreamRingPollNanos = 50'000;
+
+/// The poll window after a sleep: the halt-polling rule (KVM's).  A sleep
+/// that began at `slept_at` and that the writer's ring stamped `rang_at`
+/// (both MonotonicNanos) ended within kStreamRingPollNanos means a poll
+/// that long would have caught the frame: poll longer (kStreamRingPollNanos
+/// / 8 first, then doubling up to the ceiling).  A longer gap stops the
+/// polling.  A stamp older than the sleep is no ring of this sleep (the
+/// reader woke for another reason), so the window stays.  The stamp comes
+/// from the untrusted writer; whatever it says, the window stays within
+/// [0, kStreamRingPollNanos].
+uint64_t NextPollNanos(uint64_t poll_nanos, uint64_t slept_at,
+                       uint64_t rang_at) noexcept;
 
 /// The shared control block at the start of the memfd.  The data follows
 /// at kStreamRingHeaderBytes (page-aligned).  Each cache line holds what
 /// one side publishes; the other side only reads it, or clears the flag
-/// it finds set there.
+/// it finds set there.  Per frame, only the writer's line crosses between
+/// the two: the reader's `tail` line stays in its cache until the writer
+/// runs short of room or checks for a rewind, and the sleep flag's line
+/// changes only when the reader sleeps.
 struct StreamRingHeader {
   static constexpr uint64_t kMagic = 0x3147'4e49'5246'5352ull;  // "RSFRING1"
   uint64_t magic = 0;
@@ -105,10 +121,12 @@ struct StreamRingHeader {
   // Writer's line: what the reader polls.
   alignas(64) std::atomic<uint64_t> head{0};
   std::atomic<uint64_t> rewind_from{0};
+  std::atomic<uint64_t> rang_at{0};  // the writer's clock at its last ring
   std::atomic<uint32_t> writer_waiting{0};
-  // Reader's line: what the writer polls.
+  // Reader's line.
   alignas(64) std::atomic<uint64_t> tail{0};
-  std::atomic<uint32_t> reader_sleeping{0};
+  // The sleep flag: set by the reader, cleared by the writer that rings.
+  alignas(64) std::atomic<uint32_t> reader_sleeping{0};
 };
 inline constexpr size_t kStreamRingHeaderBytes = 4096;
 static_assert(sizeof(StreamRingHeader) <= kStreamRingHeaderBytes);
@@ -142,11 +160,16 @@ class StreamRing final : public ByteStream {
   /// Reader only.  Copies out up to data.size() bytes; 0 means the ring
   /// is empty and the sleep flag is set (the doorbell will ring).
   /// An invalid `head` is kOutOfRange.  Never reports EOF (the socket does).
+  /// Publishes `tail` when the read empties the ring (so once per frame
+  /// while the reader keeps up) or every kStreamRingPublishBytes.
   Result<size_t> ReadSome(std::span<uint8_t> data) override;
 
   /// Writer only.  Copies in as many of the iovecs' bytes as fit; 0
   /// means the ring is full and the waiting flag is set (the doorbell
-  /// will ring).  An invalid `tail` is kOutOfRange.
+  /// will ring).  An invalid `tail` is kOutOfRange.  Reads `tail` only
+  /// when the room it last saw is short, or when the write would start a
+  /// page it has not written this lap (the rewind check: an empty ring
+  /// starts the next lap instead).
   Result<size_t> WriteSome(std::span<const iovec> iov) override;
 
   /// This side's end of the doorbell pair.  It turns readable when the
@@ -178,9 +201,14 @@ class StreamRing final : public ByteStream {
   /// tail parked at a pending rewind counts as the lap start it jumps to);
   /// kOutOfRange when it is out of range.
   Result<uint64_t> EffectiveTail(uint64_t tail) noexcept;
+  /// Writer: loads `tail` into tail_.
+  Status ReloadTail(std::memory_order order) noexcept;
   /// Writer: makes everything up to position_ readable and rings the data
   /// doorbell if the reader has gone to sleep.
   void PublishHead() noexcept;
+  /// Reader: publishes position_ as `tail`, and rings a writer waiting for
+  /// room once half the ring is free (`unread` bytes are left).
+  void PublishTail(uint64_t unread) noexcept;
   [[nodiscard]] static uint64_t LapStart(uint64_t index) noexcept {
     return (index + kStreamRingCapacity - 1) &
            ~static_cast<uint64_t>(kStreamRingCapacity - 1);
@@ -195,9 +223,12 @@ class StreamRing final : public ByteStream {
   FdGuard bell_;  // this side's end of the doorbell pair
   // The side's own index: authoritative here, published to the header.
   uint64_t position_ = 0;
-  // Writer: the index of a rewind the reader has not followed yet.
+  // Writer: the index of a rewind the reader has not followed yet, and
+  // the reader's tail as last read (a position in the writer's stream).
+  // Reader: the tail it last published.
   static constexpr uint64_t kNoRewind = ~uint64_t{0};
   uint64_t rewind_pending_ = kNoRewind;
+  uint64_t tail_ = 0;
   // Reader: whether it may poll, when it last went to sleep (0: awake
   // since), and how long it polls an empty ring before the next sleep.
   bool poll_allowed_ = false;

@@ -29,9 +29,9 @@ struct ManagedMessage {
     return gmm().Allocate(Derived::DataType(), cap, size);
   }
 
-  /// Drops the manager record; the arena is freed once the transport holds
-  /// no buffer pointers (paper Fig. 8).  Falls back to the global heap for
-  /// pointers that were never registered.
+  /// Disarms the manager record; the arena returns to the pool once the
+  /// transport holds no buffer pointers (paper Fig. 8).  Falls back to the
+  /// global heap for pointers that were never registered.
   static void operator delete(void* ptr) {
     if (!gmm().Release(ptr)) ::operator delete(ptr);
   }

@@ -3,44 +3,44 @@
 //
 // Every serialization-free message lives in one contiguous heap block, its
 // *arena*: the fixed-size skeleton at offset 0, variable-size payloads
-// (string contents, vector elements) appended behind it.  The manager keeps
-// one record per live arena:
+// (string contents, vector elements) appended behind it.  Each pooled
+// arena block carries one record for its whole life:
 //
-//   [start, start+capacity)   the heap block
+//   [start, start+capacity)   the message's arena (capacity as requested)
 //   size                      current extent of the *whole message*
 //   buffer                    the "buffer pointer" — a shared_ptr that owns
 //                             the block; publish() hands aliased copies to
 //                             the transport, so the block outlives the
 //                             developer-visible message object
-//   state                     Allocated -> Published  (Destructed == erased)
+//   state                     Allocated -> Published
+//   armed_by                  the manager the record is armed for; null
+//                             while the block is parked in the pool
 //
-// Field types (sfm::string / sfm::vector) call Expand() with their own
-// address when they need payload space; the manager locates the containing
-// record by binary search over the address-ordered record map — exactly the
-// lookup structure the paper describes — bumps `size`, and returns the new
-// region.
+// Allocate and AdoptReceived *arm* the record of the block they take;
+// Release *disarms* it, and the block parks in the pool, record and all,
+// once the transport's aliased pointers die.  A disarmed record is
+// invisible to every lookup.  Field types (sfm::string / sfm::vector) call
+// Expand() with their own address when they need payload space; the
+// manager locates the containing record by binary search over the
+// address-ordered record index — exactly the lookup structure the paper
+// describes — bumps `size`, and returns the new region.
 //
-// Concurrency model (see DESIGN.md "Manager concurrency model"): the record
-// index is read-mostly.  Mutations of the index itself — Allocate, Release,
-// AdoptReceived, TryWholeCopy — take the writer side of a shared_mutex;
-// index readers (Publish, Find, the Expand slow path) take the reader side,
-// so concurrent publishers never serialize on one lock.  Expand reserves
-// its region with a CAS bump loop on the record's atomic size and zeroes
-// the granted bytes outside any lock.  A thread-local one-entry record
-// cache holds a shared_ptr to the last record this thread expanded; a hit
-// is validated by an address-range check plus the record's atomic `live`
-// flag (cleared on Release and manager destruction), making the common
-// pattern — many Expand() calls against the same in-flight message —
-// entirely lock-free: no index lock, no search, one atomic load + one CAS.
+// Concurrency model (see DESIGN.md "Manager concurrency model"): the index
+// is process-wide and written only when a block is born or dies (a pool
+// miss, a pool overflow, TrimArenaPool) — never per message.  Index
+// readers (the Release, Publish and Expand slow paths, Find) take the
+// reader side of a shared_mutex.  Arming and disarming are atomic stores
+// on the record.  A thread-local one-entry cache holds a shared_ptr to the
+// last record this thread used; a hit is validated by an address check
+// plus `armed_by`, so the common lifecycle — Allocate, Expand calls,
+// Publish and Release on one thread — takes no index lock at all.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,7 +65,6 @@ struct RecordInfo {
   size_t capacity = 0;
   size_t size = 0;
   MessageState state = MessageState::kAllocated;
-  long use_count = 0;  // buffer-pointer reference count
   std::string datatype;
 };
 
@@ -80,11 +79,22 @@ struct ManagerStats {
   // an aliased buffer pointer instead of receiving bytes.  A subset of
   // `publishes`.
   uint64_t borrows = 0;
+  // Inserts into and erases from the record index since this manager's
+  // construction or ResetStats.  The index is process-wide, so this counts
+  // every manager's writes (and the pool's): block births and deaths, and
+  // the one-message records of shm and unpooled adoptions.  0 per
+  // steady-state pooled message.
+  uint64_t index_writes = 0;
 };
+
+/// A heap arena block's record: born with the block, parked with it in
+/// the pool, armed by the manager for each message the block carries.
+struct ArenaRecord;
 
 /// Deleter that returns an arena block to the process-wide block pool.
 struct PooledDeleter {
-  size_t capacity = 0;
+  size_t capacity = 0;            // the block's size class
+  ArenaRecord* record = nullptr;  // heap blocks; null for shm blocks
   void operator()(uint8_t* block) const noexcept;
 };
 
@@ -99,13 +109,16 @@ using PooledBlock = std::unique_ptr<uint8_t[], PooledDeleter>;
 size_t ArenaBlockClassSize(size_t capacity) noexcept;
 
 /// Acquires a block of at least `capacity` bytes from the pool (or the
-/// heap).  Pooling matters for throughput: arenas are sized for the LARGEST
-/// message of a type (§4.2), typically megabytes, and allocating/releasing
-/// such blocks per message costs mmap + page-fault churn that can eat the
-/// serialization savings.  Recycled blocks keep their pages warm.
+/// heap, recording the new block in the index).  Pooling matters for
+/// throughput: arenas are sized for the LARGEST message of a type (§4.2),
+/// typically megabytes, and allocating/releasing such blocks per message
+/// costs mmap + page-fault churn that can eat the serialization savings.
+/// Recycled blocks keep their pages warm.
 /// The returned block is ArenaBlockClassSize(capacity) bytes; its deleter
-/// carries that class size, so callers re-wrapping the pointer must copy
-/// the deleter (never rebuild one from the requested capacity).
+/// carries that class size and the block's record, so callers re-wrapping
+/// the pointer must copy the deleter (never rebuild one from the requested
+/// capacity: the block would leave the heap with its record still
+/// indexed).
 PooledBlock AcquireArenaBlock(size_t capacity);
 
 /// Same, with placement control: `shareable` blocks may come from the
@@ -119,14 +132,14 @@ PooledBlock AcquireArenaBlock(size_t capacity, bool shareable);
 
 /// Pool occupancy in bytes (tests / introspection).
 size_t ArenaPoolBytes();
-/// Drops all pooled blocks.
+/// Drops all pooled blocks and their records.
 void TrimArenaPool();
 
 /// Per-size-class pool occupancy: how many blocks of each class sit free in
-/// the pool and how many are live (acquired, deleter not yet run).  Live
-/// counts cover heap- and shm-backed blocks alike — after full teardown
-/// every class must read live == 0, which is what the stress tests assert
-/// to prove no arena (shm blocks included) leaks.
+/// the pool (parked) and how many are live (acquired, deleter not yet
+/// run).  Live counts cover heap- and shm-backed blocks alike — after full
+/// teardown every class must read live == 0, which is what the stress
+/// tests assert to prove no arena (shm blocks included) leaks.
 struct ArenaPoolClassStats {
   size_t class_size = 0;
   size_t pooled = 0;
@@ -142,22 +155,25 @@ std::vector<ArenaPoolClassStats> ArenaPoolSnapshot();
 /// use-after-free bug in the caller, exactly as with any heap object.
 class MessageManager {
  public:
-  MessageManager() = default;
+  MessageManager();
   ~MessageManager();
   MessageManager(const MessageManager&) = delete;
   MessageManager& operator=(const MessageManager&) = delete;
 
-  /// Allocates a fresh arena of `capacity` bytes, registers it, and returns
-  /// the message start address.  The first `skeleton_size` bytes are zeroed
-  /// (a zeroed skeleton is the valid default state for every SFM type) and
-  /// the whole-message size starts at `skeleton_size`.
+  /// Takes an arena block of at least `capacity` bytes from the pool, arms
+  /// its record, and returns the message start address.  The first
+  /// `skeleton_size` bytes are zeroed (a zeroed skeleton is the valid
+  /// default state for every SFM type) and the whole-message size starts at
+  /// `skeleton_size`.  A pooled block costs no heap allocation and no index
+  /// write.
   void* Allocate(const char* datatype, size_t capacity, size_t skeleton_size);
 
-  /// Drops the record whose start address is `start` (object deleted by the
-  /// developer's code — the overloaded operator delete, or the subscriber
-  /// ConstPtr deleter).  The underlying block is freed once the transport
-  /// holds no aliased buffer pointers.  Returns false if `start` is not a
-  /// registered arena (the caller then owns the memory).
+  /// Disarms the record whose start address is `start` (object deleted by
+  /// the developer's code — the overloaded operator delete, or the
+  /// subscriber ConstPtr deleter).  The block returns to the pool once the
+  /// transport holds no aliased buffer pointers.  Returns false if `start`
+  /// is not an armed arena of this manager (the caller then owns the
+  /// memory).
   bool Release(void* start);
 
   /// Grants `bytes` bytes (aligned to `align`) at the current end of the
@@ -186,7 +202,7 @@ class MessageManager {
   /// Publish(), but counted separately.  The returned BufferRef's shared
   /// ownership of the arena block is the life-cycle guarantee the
   /// in-process transport relies on: even after the publisher's handle dies
-  /// and Release() erases the record, the block stays alive until the last
+  /// and Release() disarms the record, the block stays alive until the last
   /// borrowing subscriber drops its aliased pointer (SFM reads are relative
   /// offsets, so they never need the record back).
   std::optional<BufferRef> Borrow(const void* start);
@@ -194,12 +210,14 @@ class MessageManager {
   /// Receive path: registers an externally filled arena.  `block` is the
   /// heap block (capacity bytes), `size` the received whole-message size.
   /// The message enters the Published state directly (paper Fig. 9).
-  /// Returns the message start address.
+  /// Returns the message start address.  An unpooled block gets a record
+  /// of its own: one index insert here and one erase at Release.
   const uint8_t* AdoptReceived(const char* datatype,
                                std::unique_ptr<uint8_t[]> block,
                                size_t capacity, size_t size);
 
-  /// Same, for a pooled block (the transport's receive path).
+  /// Same, for a pooled block (the transport's receive path): arms the
+  /// block's record, with no heap allocation and no index write.
   const uint8_t* AdoptReceived(const char* datatype, PooledBlock block,
                                size_t capacity, size_t size);
 
@@ -223,58 +241,46 @@ class MessageManager {
   /// field-wise.  Raises kArenaOverflow if dst cannot hold src.
   bool TryWholeCopy(void* dst, const void* src, size_t skeleton_size);
 
-  /// Record lookup by any address inside the arena (tests / introspection).
+  /// Record lookup by any address inside an armed arena of this manager
+  /// (tests / introspection).
   std::optional<RecordInfo> Find(const void* addr) const;
 
   /// Current whole-message size of the message containing `addr`;
   /// 0 if unknown.
   size_t SizeOf(const void* addr) const;
 
+  /// Armed records of this manager: messages not yet released.
   [[nodiscard]] size_t LiveCount() const;
   [[nodiscard]] ManagerStats Stats() const;
   void ResetStats();
 
  private:
-  struct Record {
-    uint8_t* start = nullptr;
-    size_t capacity = 0;
-    // The per-record fields the hot path touches; everything else is
-    // immutable once the record is inserted (writer lock held).  `live` is
-    // what lets a thread cache validate a record without the index lock:
-    // Release (and manager destruction) clears it before the record leaves
-    // the index, and the Record struct itself is shared_ptr-owned, so a
-    // stale cache entry reads a cleared flag instead of freed memory.
-    std::atomic<size_t> size{0};
-    std::atomic<MessageState> state{MessageState::kAllocated};
-    std::atomic<bool> live{true};
-    std::shared_ptr<uint8_t[]> buffer;  // the buffer pointer
-    const char* datatype = "";
-  };
-
-  /// One-entry per-thread cache of the last record an Expand() resolved.
-  /// The shared_ptr keeps the (small) Record struct alive across a
-  /// concurrent Release, so validation — range check + `live` — is safe
-  /// with no lock.  Release moves the buffer pointer out of the record, so
-  /// a parked cache entry never pins a multi-megabyte arena block.
+  /// One-entry per-thread cache of the last record this thread armed or
+  /// looked up.  The shared_ptr keeps the (small) record alive after its
+  /// block dies, so validation — `armed_by` plus an address check — is
+  /// safe with no lock; a parked or dead record never validates.
   struct ThreadRecordCache {
-    const MessageManager* manager = nullptr;
-    uintptr_t start = 0;
-    size_t capacity = 0;
-    std::shared_ptr<Record> record;
+    std::shared_ptr<ArenaRecord> record;
   };
   static ThreadRecordCache& Cache() noexcept;
 
-  // Returns the record containing `addr`, or nullptr.  Caller holds
-  // index_mutex_ in either mode (read-only on the map).
-  std::shared_ptr<Record> FindInIndex(const void* addr) const;
+  /// The record armed for this manager that starts at `addr` (`exact`) or
+  /// contains it, or nullptr: the thread cache first, then the index (a
+  /// hit there refills the cache, which keeps the record alive).
+  ArenaRecord* Lookup(const void* addr, bool exact);
+  /// Arms `record` for a message of this manager and caches it.
+  void Arm(ArenaRecord& record, const char* datatype, size_t capacity,
+           size_t size, MessageState state, std::shared_ptr<uint8_t[]> buffer);
+  /// Arms the record of a pooled block, or a one-message record for a
+  /// block without one (shm); returns the message start.
+  uint8_t* AdoptBlock(PooledBlock block, const char* datatype,
+                      size_t capacity, size_t size, MessageState state);
+  /// Records a block that has no pooled record (shm, unpooled adoption)
+  /// for one message: an index insert here, an erase at Release.
+  uint8_t* AdoptOnce(std::shared_ptr<uint8_t[]> buffer, const char* datatype,
+                     size_t capacity, size_t size, MessageState state);
 
-  // Inserts a fresh record under the writer lock and returns its start.
-  uint8_t* Insert(uint8_t* start, size_t capacity, size_t size,
-                  MessageState state, std::shared_ptr<uint8_t[]> buffer,
-                  const char* datatype);
-
-  mutable std::shared_mutex index_mutex_;
-  std::map<uintptr_t, std::shared_ptr<Record>> records_;  // keyed by start
+  std::atomic<size_t> armed_{0};  // LiveCount()
 
   // Relaxed: counters are monotonic telemetry, never synchronization.
   std::atomic<uint64_t> allocations_{0};
@@ -283,6 +289,7 @@ class MessageManager {
   std::atomic<uint64_t> publishes_{0};
   std::atomic<uint64_t> received_adoptions_{0};
   std::atomic<uint64_t> borrows_{0};
+  std::atomic<uint64_t> index_writes_at_reset_{0};
 };
 
 /// The global message manager (`sfm::gmm` in the paper).

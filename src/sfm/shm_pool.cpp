@@ -325,8 +325,10 @@ size_t SweepStaleSegments() {
 }
 
 uint8_t* TryAcquire(size_t cls) {
-  if (!Enabled() || !PeersEverNegotiated()) return nullptr;
-  if (cls < ThresholdBytes() || !std::has_single_bit(cls)) return nullptr;
+  // Runs on every publisher Allocate: the atomic flag and the class come
+  // first, so a process no shm peer ever negotiated with reads no env.
+  if (!PeersEverNegotiated() || !std::has_single_bit(cls)) return nullptr;
+  if (!Enabled() || cls < ThresholdBytes()) return nullptr;
   ShmPool& pool = Pool();
   std::lock_guard<std::mutex> lock(pool.mutex);
 

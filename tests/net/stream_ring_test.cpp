@@ -274,6 +274,39 @@ TEST(StreamRingTest, SparseStreamRewindsAndReusesTheFirstPage) {
   EXPECT_EQ(ResidentPages(*pair.reader), 1u);
 }
 
+TEST(StreamRingTest, PollWindowFollowsTheWritersRingStamp) {
+  constexpr uint64_t kCeiling = kStreamRingPollNanos;
+  constexpr uint64_t kSlept = 1'000'000'000;
+  struct Row {
+    uint64_t poll;     // the window before the sleep
+    uint64_t rang_at;  // the writer's stamp
+    uint64_t next;     // the window after it
+  };
+  const Row rows[] = {
+      // The writer rang within the ceiling: poll, then poll longer.
+      {0, kSlept + 1'000, kCeiling / 8},
+      {kCeiling / 8, kSlept + 1'000, kCeiling / 4},
+      {kCeiling / 2, kSlept + kCeiling - 1, kCeiling},
+      {kCeiling, kSlept, kCeiling},
+      // It rang later: the writer is not streaming, stop polling (a 1 kHz
+      // stream rings 1 ms after each sleep).
+      {kCeiling, kSlept + kCeiling, 0},
+      {kCeiling / 8, kSlept + 1'000'000, 0},
+      {0, kSlept + 1'000'000, 0},
+      // A stamp older than the sleep rang no sleep of this reader.
+      {kCeiling / 4, kSlept - 1, kCeiling / 4},
+      {0, 0, 0},
+      // Hostile stamps move the window only within [0, ceiling].
+      {kCeiling, ~uint64_t{0}, 0},
+      {~uint64_t{0}, kSlept + 1, kCeiling},
+      {~uint64_t{0}, 0, kCeiling},
+  };
+  for (const Row& row : rows) {
+    EXPECT_EQ(NextPollNanos(row.poll, kSlept, row.rang_at), row.next)
+        << "poll " << row.poll << " rang_at " << row.rang_at;
+  }
+}
+
 /// A memfd of `size` bytes carrying a valid ring header, with `seals`.
 FdGuard FakeRingMemfd(size_t size, int seals) {
   FdGuard fd(::memfd_create("rsf.ring.test", MFD_CLOEXEC | MFD_ALLOW_SEALING));
@@ -390,8 +423,54 @@ TEST(StreamRingTest, WriterRejectsAHostileTail) {
   uint8_t bytes[16] = {};
   ASSERT_EQ(*Write(*pair.writer, bytes, sizeof(bytes)), sizeof(bytes));
   tamper.header->tail.store(1000);  // past everything written
-  EXPECT_EQ(Write(*pair.writer, bytes, 1).status().code(),
+  // The writer reads `tail` only when it needs it: a write that starts a
+  // new page (the rewind check) or finds its last-seen room short.
+  EXPECT_EQ(*Write(*pair.writer, bytes, 1), 1u);
+  std::vector<uint8_t> page(kStreamRingHeaderBytes);
+  EXPECT_EQ(Write(*pair.writer, page.data(), page.size()).status().code(),
             StatusCode::kOutOfRange);
+}
+
+TEST(StreamRingTest, ReaderPublishesTailWhenTheRingEmpties) {
+  auto pair = MakePair();
+  ASSERT_NE(pair.writer, nullptr);
+  HeaderTamper tamper(*pair.reader);
+  uint8_t frame[8] = {4, 0, 0, 0, 1, 2, 3, 4};  // a header and its payload
+  ASSERT_EQ(*Write(*pair.writer, frame, sizeof(frame)), sizeof(frame));
+  uint8_t got[4];
+  ASSERT_EQ(*pair.reader->ReadSome(got), 4u);  // the header: more unread
+  EXPECT_EQ(tamper.header->tail.load(), 0u);
+  ASSERT_EQ(*pair.reader->ReadSome(got), 4u);  // the payload empties it
+  EXPECT_EQ(tamper.header->tail.load(), sizeof(frame));
+
+  // A backlog publishes every kStreamRingPublishBytes read.
+  auto backlogged = MakePair();
+  ASSERT_NE(backlogged.writer, nullptr);
+  HeaderTamper backlog_tamper(*backlogged.reader);
+  std::vector<uint8_t> backlog(3 * kStreamRingPublishBytes);
+  ASSERT_EQ(*Write(*backlogged.writer, backlog.data(), backlog.size()),
+            backlog.size());
+  std::vector<uint8_t> out(kStreamRingPublishBytes - 1);
+  ASSERT_EQ(*backlogged.reader->ReadSome(out), out.size());
+  EXPECT_EQ(backlog_tamper.header->tail.load(), 0u);
+  ASSERT_EQ(*backlogged.reader->ReadSome(std::span<uint8_t>(out.data(), 1)),
+            1u);
+  EXPECT_EQ(backlog_tamper.header->tail.load(), kStreamRingPublishBytes);
+}
+
+TEST(StreamRingTest, WriterStampsItsRing) {
+  auto pair = MakePair();
+  ASSERT_NE(pair.writer, nullptr);
+  HeaderTamper tamper(*pair.reader);
+  uint8_t byte = 0;
+  ASSERT_EQ(*pair.reader->ReadSome(std::span<uint8_t>(&byte, 1)), 0u);
+  const uint64_t before = MonotonicNanos();
+  ASSERT_EQ(*Write(*pair.writer, &byte, 1), 1u);  // rings the sleeper
+  const uint64_t stamp = tamper.header->rang_at.load();
+  EXPECT_GE(stamp, before);
+  EXPECT_LE(stamp, MonotonicNanos());
+  ASSERT_EQ(*Write(*pair.writer, &byte, 1), 1u);  // reader awake: no ring
+  EXPECT_EQ(tamper.header->rang_at.load(), stamp);
 }
 
 /// Fills the send side of a doorbell end until a send would block.

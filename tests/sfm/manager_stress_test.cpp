@@ -1,11 +1,13 @@
 // Multi-threaded stress tests for the read-mostly MessageManager: the
 // shared-lock + CAS Expand fast path, the thread-local record cache and its
-// generation-based invalidation, and the overflow alert under contention.
+// invalidation by Release, records re-armed as blocks cycle through the
+// pool, and the overflow alert under contention.
 // Built into the ordinary sfm_test binary, so the TSan preset
 // (-DRSF_SANITIZE=thread) runs these under the race detector in ctest.
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -86,6 +88,114 @@ TEST(ManagerStress, ConcurrentLifecyclesOnSharedManager) {
   const auto shm_stats = ::sfm::shm::GetPoolStats();
   EXPECT_EQ(shm_stats.live_blocks, 0u);
   EXPECT_EQ(shm_stats.retired_blocks, 0u);
+}
+
+// Blocks cycle between threads through the pool, each message re-arming
+// the record its block carries, while a prober Finds addresses of
+// whatever message is in flight.  Every lookup sees either nothing or one
+// whole armed message; the index is written only when a block is born.
+TEST(ManagerStress, ConcurrentLifecyclesCycleThroughReArmedRecords) {
+  constexpr int kThreads = 6;  // one block each: the pool keeps them all
+  constexpr int kMessagesPerThread = 2000;
+  constexpr size_t kCapacity = 3000;  // a class no other test here uses
+  constexpr size_t kSkeleton = 48;
+
+  MessageManager& mm = gmm();
+  const ManagerStats before = mm.Stats();
+  const size_t live_before = mm.LiveCount();
+  std::atomic<uintptr_t> in_flight[kThreads] = {};
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+
+  std::thread prober([&] {
+    uint64_t seen = 0;
+    while (!done.load()) {
+      for (auto& slot : in_flight) {
+        const uintptr_t start = slot.load();
+        if (start == 0) continue;
+        const auto* addr = reinterpret_cast<const uint8_t*>(start + 100);
+        const auto info = mm.Find(addr);
+        if (!info.has_value()) continue;
+        ++seen;
+        if (addr < info->start || addr >= info->start + info->capacity ||
+            info->size > info->capacity || info->capacity != kCapacity ||
+            info->datatype != "stress/ReArm") {
+          failures.fetch_add(1);
+        }
+      }
+    }
+    (void)seen;
+  });
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int m = 0; m < kMessagesPerThread; ++m) {
+        auto* start = static_cast<uint8_t*>(
+            mm.Allocate("stress/ReArm", kCapacity, kSkeleton));
+        in_flight[t].store(reinterpret_cast<uintptr_t>(start));
+        for (size_t i = 0; i < kSkeleton; ++i) {
+          if (start[i] != 0) failures.fetch_add(1);  // re-armed dirty block
+        }
+        std::memset(start, 0xA5, kSkeleton);
+        auto* grant = static_cast<uint8_t*>(mm.Expand(start + 8, 256, 8));
+        if (grant != start + kSkeleton || grant[255] != 0) {
+          failures.fetch_add(1);
+        }
+        std::memset(grant, 0x5A, 256);
+        const auto info = mm.Find(start + 40);
+        if (!info.has_value() || info->start != start ||
+            info->size != kSkeleton + 256) {
+          failures.fetch_add(1);
+        }
+        // The transport's reference outlives the release, as on the wire.
+        std::optional<BufferRef> wire = mm.Publish(start);
+        if (!wire.has_value() || wire->size != kSkeleton + 256) {
+          failures.fetch_add(1);
+        }
+        in_flight[t].store(0);
+        if (!mm.Release(start)) failures.fetch_add(1);
+        if (mm.Release(start)) failures.fetch_add(1);  // already disarmed
+        wire.reset();  // the block parks
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  done.store(true);
+  prober.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mm.LiveCount(), live_before);
+  const ManagerStats after = mm.Stats();
+  constexpr uint64_t kMessages = uint64_t{kThreads} * kMessagesPerThread;
+  EXPECT_EQ(after.allocations - before.allocations, kMessages);
+  EXPECT_EQ(after.releases - before.releases, kMessages);
+  // At most one birth per thread: every other message re-armed a record.
+  EXPECT_LE(after.index_writes - before.index_writes, uint64_t{kThreads});
+  for (const auto& cls : ArenaPoolSnapshot()) {
+    if (cls.class_size == ArenaBlockClassSize(kCapacity)) {
+      EXPECT_EQ(cls.live, 0u);
+    }
+  }
+}
+
+// A stale address of a released message names whatever message its block
+// carries next — the aliasing pool reuse has always allowed: the record
+// re-armed is the one the next message would have had at that address.
+TEST(ManagerStress, ReleasedBlockReArmsForTheNextMessage) {
+  TrimArenaPool();
+  MessageManager mm;
+  auto* first = static_cast<uint8_t*>(mm.Allocate("stress/First", 256, 32));
+  ASSERT_NE(mm.Expand(first, 8, 8), nullptr);  // warms this thread's cache
+  ASSERT_TRUE(mm.Release(first));
+  auto* next = static_cast<uint8_t*>(mm.Allocate("stress/Next", 200, 16));
+  ASSERT_EQ(next, first);
+  EXPECT_EQ(mm.Expand(first, 8, 8), next + 16);
+  EXPECT_EQ(mm.Find(first)->datatype, "stress/Next");
+  EXPECT_EQ(mm.Find(first)->capacity, 200u);
+  EXPECT_FALSE(mm.Find(first + 200).has_value());
+  ASSERT_TRUE(mm.Release(next));
+  TrimArenaPool();
 }
 
 // All threads expand the SAME message: the CAS bump loop must hand out

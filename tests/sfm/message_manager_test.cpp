@@ -1,12 +1,16 @@
 // Unit tests for sfm::MessageManager — arena registration, interior-address
 // lookup, expansion, publish aliasing, and the life-cycle state machine of
-// paper §4.2 (Figs. 8 and 9).
+// paper §4.2 (Figs. 8 and 9) — and for the records the pooled arena blocks
+// carry: re-armed per message, written to the index only at block birth
+// and death, invisible while parked.
 #include "sfm/message_manager.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -209,6 +213,139 @@ TEST(MessageManager, StatsCountOperations) {
   EXPECT_EQ(stats.expansions, 1u);
   EXPECT_EQ(stats.publishes, 1u);
   EXPECT_EQ(stats.releases, 1u);
+}
+
+TEST(MessageManager, PooledBlocksWriteTheIndexOnlyAtBirthAndDeath) {
+  TrimArenaPool();
+  MessageManager mm;
+  // The first message's block is born: one index insert.
+  void* first = mm.Allocate("test/Msg", 1000, 16);
+  EXPECT_EQ(mm.Stats().index_writes, 1u);
+  ASSERT_TRUE(mm.Release(first));
+  // Every later message re-arms the parked record: no index write.
+  for (int i = 0; i < 100; ++i) {
+    void* msg = mm.Allocate("test/Msg", 1000, 16);
+    EXPECT_EQ(msg, first) << "the pool is LIFO";
+    mm.Expand(msg, 8, 8);
+    ASSERT_TRUE(mm.Publish(msg).has_value());
+    ASSERT_TRUE(mm.Release(msg));
+  }
+  EXPECT_EQ(mm.Stats().index_writes, 1u);
+  // An unpooled adoption keeps one record per message: insert and erase.
+  mm.ResetStats();
+  const uint8_t* adopted = mm.AdoptReceived(
+      "test/Msg", std::make_unique<uint8_t[]>(64), 64, 32);
+  EXPECT_EQ(mm.Stats().index_writes, 1u);
+  ASSERT_TRUE(mm.Release(const_cast<uint8_t*>(adopted)));
+  EXPECT_EQ(mm.Stats().index_writes, 2u);
+  // The block dies with the pool trim: its record leaves the index.
+  mm.ResetStats();
+  TrimArenaPool();
+  EXPECT_EQ(mm.Stats().index_writes, 1u);
+}
+
+TEST(MessageManager, ParkedRecordIsInvisible) {
+  TrimArenaPool();
+  MessageManager mm;
+  auto* start = static_cast<uint8_t*>(mm.Allocate("test/Msg", 1000, 16));
+  std::optional<BufferRef> wire = mm.Publish(start);
+  ASSERT_TRUE(wire.has_value());
+  ASSERT_TRUE(mm.Release(start));
+  const auto expect_invisible = [&] {
+    EXPECT_FALSE(mm.Find(start).has_value());
+    EXPECT_FALSE(mm.Find(start + 100).has_value());
+    EXPECT_EQ(mm.SizeOf(start), 0u);
+    EXPECT_EQ(mm.LiveCount(), 0u);
+    EXPECT_FALSE(mm.Publish(start).has_value());
+    EXPECT_FALSE(mm.Release(start));
+    EXPECT_FALSE(mm.TryWholeCopy(start, start, 16));
+    EXPECT_THROW(mm.Expand(start + 8, 8, 8), AlertError);
+  };
+  // Disarmed while the transport still holds the block...
+  expect_invisible();
+  EXPECT_EQ(ArenaPoolBytes(), 0u);
+  // ...and parked once it lets go.
+  wire.reset();
+  EXPECT_EQ(ArenaPoolBytes(), ArenaBlockClassSize(1000));
+  expect_invisible();
+  TrimArenaPool();
+}
+
+TEST(MessageManager, ArmedRecordBelongsToOneManager) {
+  TrimArenaPool();
+  MessageManager a;
+  MessageManager b;
+  void* msg = a.Allocate("test/Msg", 1000, 16);
+  EXPECT_TRUE(a.Find(msg).has_value());
+  EXPECT_FALSE(b.Find(msg).has_value());
+  EXPECT_FALSE(b.Release(msg));
+  EXPECT_THROW(b.Expand(msg, 8, 8), AlertError);
+  ASSERT_TRUE(a.Release(msg));
+  // The parked record re-arms for the other manager, with no index write.
+  b.ResetStats();
+  void* again = b.Allocate("test/Other", 900, 32);
+  EXPECT_EQ(again, msg);
+  EXPECT_EQ(b.Stats().index_writes, 0u);
+  const auto info = b.Find(again);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->capacity, 900u);
+  EXPECT_EQ(info->size, 32u);
+  EXPECT_EQ(info->datatype, "test/Other");
+  EXPECT_FALSE(a.Find(again).has_value());
+  ASSERT_TRUE(b.Release(again));
+  TrimArenaPool();
+}
+
+TEST(ArenaPool, SnapshotAndTrimSeeParkedRecords) {
+  TrimArenaPool();
+  const size_t cls = ArenaBlockClassSize(3000);
+  const auto class_stats = [cls] {
+    for (const auto& stats : ArenaPoolSnapshot()) {
+      if (stats.class_size == cls) return stats;
+    }
+    return ArenaPoolClassStats{cls, 0, 0};
+  };
+  {
+    std::vector<void*> messages;
+    for (int i = 0; i < 3; ++i) {
+      messages.push_back(gmm().Allocate("test/Msg", 3000, 16));
+    }
+    EXPECT_EQ(class_stats().live, 3u);
+    for (void* msg : messages) ASSERT_TRUE(gmm().Release(msg));
+  }
+  EXPECT_EQ(class_stats().live, 0u);
+  EXPECT_EQ(class_stats().pooled, 3u);
+  EXPECT_EQ(ArenaPoolBytes(), 3 * cls);
+  TrimArenaPool();
+  EXPECT_EQ(ArenaPoolBytes(), 0u);
+  EXPECT_EQ(class_stats().pooled, 0u);
+  EXPECT_EQ(class_stats().live, 0u);
+}
+
+TEST(ArenaPool, DestroyedManagerReturnsItsBlocks) {
+  // Run under LeakSanitizer (the asan preset) to prove nothing is left.
+  TrimArenaPool();
+  const size_t cls = ArenaBlockClassSize(5000);
+  size_t live = 0;
+  {
+    MessageManager mm;
+    void* released = mm.Allocate("test/Msg", 5000, 16);
+    (void)mm.Allocate("test/Msg", 5000, 16);  // leaked by its owner
+    mm.Expand(released, 64, 8);
+    ASSERT_TRUE(mm.Release(released));
+    for (const auto& stats : ArenaPoolSnapshot()) {
+      if (stats.class_size == cls) live = stats.live;
+    }
+    EXPECT_EQ(live, 1u);
+  }
+  for (const auto& stats : ArenaPoolSnapshot()) {
+    if (stats.class_size == cls) {
+      EXPECT_EQ(stats.live, 0u);
+      EXPECT_EQ(stats.pooled, 2u);
+    }
+  }
+  TrimArenaPool();
+  EXPECT_EQ(ArenaPoolBytes(), 0u);
 }
 
 TEST(ArenaCapacity, RuntimeOverrideWinsAndClears) {
