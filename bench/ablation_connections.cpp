@@ -1,28 +1,31 @@
 // Ablation: connection scaling on the reactor transport (src/net/poller.h,
-// src/net/link.h), per io backend (src/net/io_backend.h).  One publisher
-// fans a message out to N TCP subscriber links (in-process transport
-// disabled, so every delivery crosses a real loopback socket) for N in
-// {1, 64, 256, 1024}; each configuration records the process thread count
-// at steady state, the p50/p99 publish-to-last-delivery latency, and —
-// from the backend syscall shim counters — transport syscalls per
-// delivered message.
+// src/net/link.h).  One publisher fans a message out to N wire subscriber
+// links (in-process transport disabled) for N in {1, 64, 256, 1024}, in
+// two modes:
 //
-// The claims under test: transport threads stay O(cores) no matter how
-// many links exist, and the uring backend's batched submission cuts
-// syscalls per delivery by >=4x at 256 links without regressing p50 at a
-// single link.  The thread-per-connection transport this used to ablate
-// against was removed in PR 4; its historical rows are preserved in
-// EXPERIMENTS.md.
+//   tcp   every subscription carries a shaped link of unbounded bandwidth
+//         and no delay (`LinkConfig{1e15, 0}`), which routes it over
+//         loopback TCP exactly as a remote subscriber is routed, while
+//         adding no delivery delay;
+//   ring  unshaped same-host subscriptions, which dial the publication's
+//         AF_UNIX name and stream frames through a shared-memory ring
+//         (DESIGN.md §8).  Each ring is a 1 MiB shared mapping, so this
+//         mode stops at 256 links unless --links asks for more.
 //
-// The Reactor binds its io backend once per process, so each backend runs
-// in a re-exec'd child (/proc/self/exe with RSF_IO_BACKEND set); the
-// parent collects rows over a pipe.  Uring rows are skipped with a printed
-// reason when the host refuses io_uring_setup.
+// Each cell records the process thread count at steady state, the
+// p50/p99 publish-to-last-delivery latency, and — from the process-wide
+// syscall counters (net/io_backend.h) — transport syscalls and recv calls
+// per delivered message.  The publisher waits for the last delivery by
+// yielding, so the latency carries no sleep quantum.
+//
+// The claim under test: transport threads stay O(cores) no matter how many
+// links exist.  The thread-per-connection transport and the second I/O
+// backend this bench once compared against are gone; their tables stay in
+// EXPERIMENTS.md ("Connection scaling ablation").
 //
 // Prints a table and writes BENCH_connections.json.
 #include <dirent.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -33,7 +36,6 @@
 
 #include "common/clock.h"
 #include "net/io_backend.h"
-#include "net/poller.h"
 #include "ros/ros.h"
 #include "std_msgs/String.h"
 
@@ -55,7 +57,7 @@ bool WaitFor(const std::function<bool()>& predicate,
   const uint64_t deadline = rsf::MonotonicNanos() + timeout_nanos;
   while (rsf::MonotonicNanos() < deadline) {
     if (predicate()) return true;
-    rsf::SleepForNanos(200'000);
+    ::sched_yield();
   }
   return predicate();
 }
@@ -69,36 +71,38 @@ double Percentile(std::vector<double> values, double fraction) {
 }
 
 struct Row {
-  std::string backend;
+  std::string mode;
   size_t links = 0;
   size_t threads_total = 0;
   double p50_us = 0.0;
   double p99_us = 0.0;
   double syscalls_per_delivery = 0.0;
+  double recv_per_delivery = 0.0;
 };
 
 struct Config {
   size_t payload_bytes = 4096;
   int iterations = 200;
   int warmup = 10;
-  size_t only_links = 0;  // 0 = all cells
+  size_t only_links = 0;        // 0 = every cell
+  std::string only_mode;        // empty = both modes
 };
 
-/// One configuration: N wire subscribers on one topic, `iterations`
-/// stop-and-wait fan-outs.  Latency per iteration = publish() to the LAST
-/// subscriber's callback; syscalls differenced across the measured
-/// iterations via the backend shim counters.
-Row RunConfig(const std::string& backend, size_t links, const Config& config) {
+/// One cell: N wire subscribers on one topic, `iterations` stop-and-wait
+/// fan-outs.  Latency per iteration = publish() to the LAST subscriber's
+/// callback; syscalls differenced across the measured iterations.
+Row RunCell(const std::string& mode, size_t links, const Config& config) {
   ros::NodeHandle pub_node("bench_pub");
   ros::NodeHandle sub_node("bench_sub");
   const std::string topic =
-      "/conn_scaling_" + backend + "_" + std::to_string(links);
+      "/conn_scaling_" + mode + "_" + std::to_string(links);
   auto pub = pub_node.advertise<std_msgs::String>(topic, 10);
 
   std::atomic<uint64_t> delivered{0};
   ros::SubscribeOptions options;
   options.inline_dispatch = true;        // latency measured at the callback
   options.allow_intra_process = false;   // force the wire
+  if (mode == "tcp") options.link = rsf::net::LinkConfig{1e15, 0};
   std::vector<ros::Subscriber> subs;
   subs.reserve(links);
   for (size_t i = 0; i < links; ++i) {
@@ -111,7 +115,13 @@ Row RunConfig(const std::string& backend, size_t links, const Config& config) {
   }
   if (!WaitFor([&] { return pub.getNumSubscribers() == links; })) {
     std::fprintf(stderr, "FATAL: %s/%zu links never all connected\n",
-                 backend.c_str(), links);
+                 mode.c_str(), links);
+    std::exit(1);
+  }
+  const size_t rings = pub.getStats().ring_links;
+  if ((mode == "ring") != (rings == links)) {
+    std::fprintf(stderr, "FATAL: %s/%zu links: %zu rode a ring\n",
+                 mode.c_str(), links, rings);
     std::exit(1);
   }
 
@@ -131,7 +141,7 @@ Row RunConfig(const std::string& backend, size_t links, const Config& config) {
           return delivered.load(std::memory_order_relaxed) >= expected;
         })) {
       std::fprintf(stderr, "FATAL: %s/%zu links stalled at iteration %d\n",
-                   backend.c_str(), links, i);
+                   mode.c_str(), links, i);
       std::exit(1);
     }
     if (i == 0) {
@@ -145,84 +155,24 @@ Row RunConfig(const std::string& backend, size_t links, const Config& config) {
 
   const double deliveries =
       static_cast<double>(links) * static_cast<double>(config.iterations);
-  const double syscalls = static_cast<double>(
-      counters_after.TotalSyscalls() - counters_before.TotalSyscalls());
-  return {backend,
+  const auto per_delivery = [&](uint64_t before, uint64_t after) {
+    return deliveries > 0.0 ? static_cast<double>(after - before) / deliveries
+                            : 0.0;
+  };
+  return {mode,
           links,
           threads_at_steady_state,
           Percentile(latencies_us, 0.50),
           Percentile(latencies_us, 0.99),
-          deliveries > 0.0 ? syscalls / deliveries : 0.0};
-}
-
-constexpr const char* kChildFlag = "--backend-child";
-
-/// Child mode: run every link count on the backend the parent selected via
-/// RSF_IO_BACKEND, print machine-readable ROW lines on stdout.
-int RunChild(const std::string& backend, const std::vector<size_t>& link_counts,
-             const Config& config) {
-  for (const size_t links : link_counts) {
-    if (config.only_links != 0 && links != config.only_links) continue;
-    const Row row = RunConfig(backend, links, config);
-    std::printf("ROW %s %zu %zu %.1f %.1f %.4f\n", row.backend.c_str(),
-                row.links, row.threads_total, row.p50_us, row.p99_us,
-                row.syscalls_per_delivery);
-    std::fflush(stdout);
-    ros::master().Reset();
-  }
-  return 0;
-}
-
-/// Parent side: re-exec ourselves with RSF_IO_BACKEND=<backend> and collect
-/// the child's ROW lines.  Returns false if the child failed.
-bool RunBackend(const char* self_exe, const std::string& backend,
-                const Config& config, std::vector<Row>* rows) {
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) return false;
-  const pid_t pid = ::fork();
-  if (pid < 0) return false;
-  if (pid == 0) {
-    ::close(pipe_fds[0]);
-    ::dup2(pipe_fds[1], STDOUT_FILENO);
-    ::close(pipe_fds[1]);
-    ::setenv("RSF_IO_BACKEND", backend.c_str(), 1);
-    const std::string iters = std::to_string(config.iterations);
-    const std::string bytes = std::to_string(config.payload_bytes);
-    ::execl(self_exe, self_exe, kChildFlag, backend.c_str(), "--iters",
-            iters.c_str(), "--bytes", bytes.c_str(), (char*)nullptr);
-    std::perror("execl");
-    _exit(127);
-  }
-  ::close(pipe_fds[1]);
-  FILE* stream = ::fdopen(pipe_fds[0], "r");
-  char line[256];
-  while (stream != nullptr && std::fgets(line, sizeof(line), stream)) {
-    Row row;
-    char name[32] = {0};
-    if (std::sscanf(line, "ROW %31s %zu %zu %lf %lf %lf", name, &row.links,
-                    &row.threads_total, &row.p50_us, &row.p99_us,
-                    &row.syscalls_per_delivery) == 6) {
-      row.backend = name;
-      rows->push_back(row);
-      std::printf("  %-8s %-8zu %14zu %12.1f %12.1f %18.2f\n",
-                  row.backend.c_str(), row.links, row.threads_total,
-                  row.p50_us, row.p99_us, row.syscalls_per_delivery);
-      std::fflush(stdout);
-    } else {
-      std::fputs(line, stderr);  // forward child diagnostics
-    }
-  }
-  if (stream != nullptr) std::fclose(stream);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  return WIFEXITED(status) && WEXITSTATUS(status) == 0;
+          per_delivery(counters_before.TotalSyscalls(),
+                       counters_after.TotalSyscalls()),
+          per_delivery(counters_before.recv_calls, counters_after.recv_calls)};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Config config;
-  std::string child_backend;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--full") {
@@ -233,36 +183,38 @@ int main(int argc, char** argv) {
       config.payload_bytes = static_cast<size_t>(std::atol(argv[++i]));
     } else if (arg == "--links" && i + 1 < argc) {
       config.only_links = static_cast<size_t>(std::atol(argv[++i]));
-    } else if (arg == kChildFlag && i + 1 < argc) {
-      child_backend = argv[++i];
+    } else if (arg == "--mode" && i + 1 < argc) {
+      config.only_mode = argv[++i];
     }
   }
   config.iterations = std::max(config.iterations, 1);
   config.payload_bytes = std::max(config.payload_bytes, size_t{1});
 
-  const std::vector<size_t> link_counts = {1, 64, 256, 1024};
-  if (!child_backend.empty()) {
-    return RunChild(child_backend, link_counts, config);
-  }
-
   std::printf(
-      "=== Ablation: connection scaling x io backend, %zu-byte payload, "
-      "%d iterations ===\n\n",
+      "=== Ablation: connection scaling, %zu-byte payload, %d iterations "
+      "===\n\n",
       config.payload_bytes, config.iterations);
-  std::printf("  %-8s %-8s %14s %12s %12s %18s\n", "backend", "links",
-              "threads total", "p50 (us)", "p99 (us)", "syscalls/delivery");
+  std::printf("  %-6s %-8s %14s %12s %12s %18s %14s\n", "mode", "links",
+              "threads total", "p50 (us)", "p99 (us)", "syscalls/delivery",
+              "recv/delivery");
 
   std::vector<Row> rows;
-  for (const char* backend : {"epoll", "uring"}) {
-    if (std::strcmp(backend, "uring") == 0 && !rsf::net::UringAvailable()) {
-      std::printf(
-          "  uring    --       io_uring unavailable on this host "
-          "(setup probe failed); rows skipped\n");
-      continue;
-    }
-    if (!RunBackend("/proc/self/exe", backend, config, &rows)) {
-      std::fprintf(stderr, "FATAL: %s child run failed\n", backend);
-      return 1;
+  for (const char* mode : {"tcp", "ring"}) {
+    if (!config.only_mode.empty() && config.only_mode != mode) continue;
+    for (const size_t links : {1, 64, 256, 1024}) {
+      if (config.only_links != 0 && links != config.only_links) continue;
+      if (config.only_links == 0 && std::strcmp(mode, "ring") == 0 &&
+          links > 256) {
+        continue;  // 1 MiB of shared ring per link: ask with --links
+      }
+      const Row row = RunCell(mode, links, config);
+      std::printf("  %-6s %-8zu %14zu %12.1f %12.1f %18.2f %14.2f\n",
+                  row.mode.c_str(), row.links, row.threads_total, row.p50_us,
+                  row.p99_us, row.syscalls_per_delivery,
+                  row.recv_per_delivery);
+      std::fflush(stdout);
+      rows.push_back(row);
+      ros::master().Reset();
     }
   }
 
@@ -277,13 +229,13 @@ int main(int argc, char** argv) {
                  config.payload_bytes, config.iterations);
     for (size_t i = 0; i < rows.size(); ++i) {
       std::fprintf(json,
-                   "    {\"mode\": \"reactor\", \"backend\": \"%s\", "
-                   "\"links\": %zu, \"threads_total\": %zu, "
-                   "\"p50_us\": %.1f, \"p99_us\": %.1f, "
-                   "\"syscalls_per_delivery\": %.2f}%s\n",
-                   rows[i].backend.c_str(), rows[i].links,
+                   "    {\"mode\": \"%s\", \"links\": %zu, "
+                   "\"threads_total\": %zu, \"p50_us\": %.1f, "
+                   "\"p99_us\": %.1f, \"syscalls_per_delivery\": %.2f, "
+                   "\"recv_per_delivery\": %.2f}%s\n",
+                   rows[i].mode.c_str(), rows[i].links,
                    rows[i].threads_total, rows[i].p50_us, rows[i].p99_us,
-                   rows[i].syscalls_per_delivery,
+                   rows[i].syscalls_per_delivery, rows[i].recv_per_delivery,
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");

@@ -26,6 +26,24 @@ class ByteStream {
   /// the peer corrupted as another error.
   virtual Result<size_t> ReadSome(std::span<uint8_t> data) = 0;
 
+  /// ReadSome into `data` and, once `data` is full, on into `ahead`: one
+  /// scatter read, so a frame's payload and the next frame's header cost
+  /// one syscall on a socket.  Returns the total bytes read.  A stream
+  /// whose reads cost no syscall (the ring) reads `data` only.
+  virtual Result<size_t> ReadAhead(std::span<uint8_t> data,
+                                   std::span<uint8_t> ahead) {
+    (void)ahead;
+    return ReadSome(data);
+  }
+
+  /// True when a read that returns less than it asked for means the
+  /// stream is drained, and something outside the reader reports the next
+  /// bytes: a socket under level-triggered epoll.  A ring reader must read
+  /// until 0 instead, since that is what arms its doorbell.
+  [[nodiscard]] virtual bool ShortReadDrains() const noexcept {
+    return false;
+  }
+
   /// Nonblocking single gathered write.  Returns the bytes accepted, or 0
   /// when the stream is full; the caller resumes from wherever the count
   /// left off (FrameWriter).

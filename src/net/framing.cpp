@@ -54,21 +54,32 @@ void FrameReader::Reset() noexcept {
 Result<FrameReader::Step> FrameReader::Poll(ByteStream& in,
                                             const FrameAllocator& alloc,
                                             uint32_t* length) {
+  // A short read from a socket means it is drained: stop there, and let
+  // level-triggered epoll report the next bytes, instead of reading again
+  // only to see EAGAIN.
+  const bool short_read_drains = in.ShortReadDrains();
+  drained_ = false;
   for (;;) {
     if (state_ == State::kHeader) {
-      auto n = in.ReadSome(
-          std::span<uint8_t>(header_ + header_got_, 4 - header_got_));
-      if (!n.ok()) {
-        if (n.status().code() == StatusCode::kUnavailable &&
-            header_got_ > 0) {
-          return Status(StatusCode::kUnavailable,
-                        "connection closed mid-frame (header)");
+      // The last payload read may have brought this header in already.
+      if (header_got_ < sizeof(header_)) {
+        const size_t want = sizeof(header_) - header_got_;
+        auto n = in.ReadSome(std::span<uint8_t>(header_ + header_got_, want));
+        if (!n.ok()) {
+          if (n.status().code() == StatusCode::kUnavailable &&
+              header_got_ > 0) {
+            return Status(StatusCode::kUnavailable,
+                          "connection closed mid-frame (header)");
+          }
+          return n.status();
         }
-        return n.status();
+        if (*n == 0) return Step::kNeedMore;
+        header_got_ += *n;
+        if (header_got_ < sizeof(header_)) {
+          if (short_read_drains) return Step::kNeedMore;
+          continue;
+        }
       }
-      if (*n == 0) return Step::kNeedMore;
-      header_got_ += *n;
-      if (header_got_ < 4) continue;
 
       const uint32_t raw = LoadLE<uint32_t>(header_);
       if (FrameTag(raw) > kFrameTagMax) {
@@ -90,8 +101,12 @@ Result<FrameReader::Step> FrameReader::Poll(ByteStream& in,
       state_ = State::kPayload;
     }
 
-    auto n = in.ReadSome(std::span<uint8_t>(payload_ + payload_got_,
-                                            payload_len_ - payload_got_));
+    // The payload, and on into the next frame's header: a burst then
+    // costs one read per frame, and a read that stops short of the next
+    // header has drained a socket.
+    const size_t want = payload_len_ - payload_got_;
+    auto n = in.ReadAhead(std::span<uint8_t>(payload_ + payload_got_, want),
+                          std::span<uint8_t>(header_, sizeof(header_)));
     if (!n.ok()) {
       if (n.status().code() == StatusCode::kUnavailable) {
         return Status(StatusCode::kUnavailable,
@@ -100,27 +115,33 @@ Result<FrameReader::Step> FrameReader::Poll(ByteStream& in,
       return n.status();
     }
     if (*n == 0) return Step::kNeedMore;
-    payload_got_ += *n;
-    if (payload_got_ == payload_len_) {
-      const uint32_t raw = raw_len_;
-      Reset();
-      *length = raw;
-      return Step::kFrame;
+    if (*n < want) {
+      payload_got_ += *n;
+      if (short_read_drains) return Step::kNeedMore;
+      continue;
     }
+    const uint32_t raw = raw_len_;
+    Reset();
+    header_got_ = *n - want;
+    drained_ = short_read_drains && header_got_ < sizeof(header_);
+    *length = raw;
+    return Step::kFrame;
   }
+}
+
+bool FrameReader::FrameBuffered() const noexcept {
+  return state_ == State::kHeader && header_got_ == sizeof(header_) &&
+         FrameLength(LoadLE<uint32_t>(header_)) == 0;
 }
 
 bool FrameWriter::Enqueue(std::shared_ptr<const uint8_t[]> payload,
                           uint32_t size, size_t max_pending) {
   bool evicted = false;
-  if (max_pending > 0 && staged_.size() + pending_.size() >= max_pending) {
-    // Drop-oldest, but never a frame already (partially) on the wire:
-    // staged frames are submitted and untouchable, and in readiness mode
-    // (staged_ always empty) the front frame may be mid-write.
+  if (max_pending > 0 && pending_.size() >= max_pending) {
+    // Drop-oldest, but never the front frame once its bytes have begun to
+    // leave.
     const size_t victim =
-        (staged_.empty() && !pending_.empty() && pending_.front().offset > 0)
-            ? 1
-            : 0;
+        (!pending_.empty() && pending_.front().offset > 0) ? 1 : 0;
     if (victim < pending_.size()) {
       pending_.erase(pending_.begin() + static_cast<long>(victim));
       evicted = true;
@@ -148,11 +169,10 @@ void FrameWriter::AdaptGatherBudget() noexcept {
   }
 }
 
-std::span<const iovec> FrameWriter::Gather(std::deque<PendingFrame>& frames,
-                                           size_t count) {
+std::span<const iovec> FrameWriter::Gather(size_t count) {
   iov_.clear();
   for (size_t i = 0; i < count; ++i) {
-    PendingFrame& frame = frames[i];
+    PendingFrame& frame = pending_[i];
     size_t skip = frame.offset;  // only ever non-zero for i == 0
     if (skip < sizeof(frame.header)) {
       iov_.push_back({frame.header + skip, sizeof(frame.header) - skip});
@@ -168,17 +188,16 @@ std::span<const iovec> FrameWriter::Gather(std::deque<PendingFrame>& frames,
   return {iov_.data(), iov_.size()};
 }
 
-void FrameWriter::Advance(std::deque<PendingFrame>& frames,
-                          size_t bytes) noexcept {
+void FrameWriter::Advance(size_t bytes) noexcept {
   bytes_written_ += bytes;
-  while (bytes > 0 && !frames.empty()) {
-    PendingFrame& front = frames.front();
+  while (bytes > 0 && !pending_.empty()) {
+    PendingFrame& front = pending_.front();
     const size_t wire = sizeof(front.header) + front.size;
     const size_t take = std::min(bytes, wire - front.offset);
     front.offset += take;
     bytes -= take;
     if (front.offset == wire) {
-      frames.pop_front();
+      pending_.pop_front();
       ++frames_written_;
     }
   }
@@ -191,68 +210,13 @@ Status FrameWriter::Flush(ByteStream& out) {
   // so the gather is never empty while frames remain.
   AdaptGatherBudget();
   while (!pending_.empty()) {
-    auto written = out.WriteSome(
-        Gather(pending_, std::min(pending_.size(), gather_budget_)));
+    auto written =
+        out.WriteSome(Gather(std::min(pending_.size(), gather_budget_)));
     if (!written.ok()) return written.status();
     if (*written == 0) return Status::Ok();  // socket full: resume later
-    Advance(pending_, *written);
+    Advance(*written);
   }
   return Status::Ok();
-}
-
-std::span<uint8_t> FrameReader::NextWindow() noexcept {
-  if (state_ == State::kHeader) {
-    return {header_ + header_got_, sizeof(header_) - header_got_};
-  }
-  return {payload_ + payload_got_, payload_len_ - payload_got_};
-}
-
-Result<FrameReader::Step> FrameReader::Commit(size_t n,
-                                              const FrameAllocator& alloc,
-                                              uint32_t* length) {
-  if (state_ == State::kHeader) {
-    header_got_ += n;
-    if (header_got_ < sizeof(header_)) return Step::kNeedMore;
-    const uint32_t raw = LoadLE<uint32_t>(header_);
-    if (FrameTag(raw) > kFrameTagMax) {
-      return OutOfRangeError("unknown frame tag (corrupted length?): " +
-                             std::to_string(raw));
-    }
-    raw_len_ = raw;
-    payload_len_ = FrameLength(raw);
-    payload_got_ = 0;
-    payload_ = alloc(raw);
-    if (payload_ == nullptr && payload_len_ > 0) {
-      return ResourceExhaustedError("frame allocator returned null");
-    }
-    if (payload_len_ == 0) {
-      *length = raw;
-      Reset();
-      return Step::kFrame;
-    }
-    state_ = State::kPayload;
-    return Step::kNeedMore;
-  }
-  payload_got_ += n;
-  if (payload_got_ < payload_len_) return Step::kNeedMore;
-  const uint32_t raw = raw_len_;
-  Reset();
-  *length = raw;
-  return Step::kFrame;
-}
-
-std::span<const iovec> FrameWriter::StageSubmission() {
-  if (staged_.empty()) {
-    AdaptGatherBudget();
-    // Move frames out of the queue for the flight: deque erasure
-    // (eviction) invalidates references, and the kernel will be reading
-    // these header bytes asynchronously.
-    while (!pending_.empty() && staged_.size() < gather_budget_) {
-      staged_.push_back(std::move(pending_.front()));
-      pending_.pop_front();
-    }
-  }
-  return Gather(staged_, staged_.size());
 }
 
 }  // namespace rsf::net

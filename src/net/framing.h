@@ -77,6 +77,11 @@ Status ReadFrame(TcpConnection& conn, const FrameAllocator& alloc,
 /// final destination (for SFM topics, a message arena: the one-copy
 /// receive).  The buffer the allocator returns must stay valid until the
 /// frame completes, across however many Poll() calls that takes.
+///
+/// On a socket the payload read also asks for the next frame's header
+/// (ByteStream::ReadAhead), so a burst costs about one recv per frame,
+/// and a read that comes back short tells the reader the socket is
+/// drained (Drained()): no probe read for EAGAIN follows it.
 class FrameReader {
  public:
   enum class Step {
@@ -94,21 +99,20 @@ class FrameReader {
   Result<Step> Poll(ByteStream& in, const FrameAllocator& alloc,
                     uint32_t* length);
 
-  /// Completion-mode interface (submission backends, net/io_backend.h):
-  /// instead of the reader issuing recv syscalls, the caller stages a recv
-  /// SQE aimed at NextWindow() — the exact remaining header or payload
-  /// span, so payload bytes still land straight in the allocator's arena
-  /// (the one-copy receive) — and feeds the completed byte count to
-  /// Commit().  The allocator runs inside Commit when the header
-  /// completes, exactly as Poll invokes it.  `n` must not exceed the
-  /// window (the kernel bounds recv by the SQE length).
-  [[nodiscard]] std::span<uint8_t> NextWindow() noexcept;
-  Result<Step> Commit(size_t n, const FrameAllocator& alloc, uint32_t* length);
+  /// True when the last Poll's final read came back short from a stream
+  /// whose short reads mean "drained" (ByteStream::ShortReadDrains): the
+  /// caller stops polling until the next readiness event.
+  [[nodiscard]] bool Drained() const noexcept { return drained_; }
 
   /// Abandons any partial frame (link teardown reuse).
   void Reset() noexcept;
 
-  /// True while a frame is partially read (tests).
+  /// True when the bytes already read hold a whole frame: a header read
+  /// ahead whose payload is empty.  No readiness event will come for it.
+  [[nodiscard]] bool FrameBuffered() const noexcept;
+
+  /// True while a frame is partially read, including a next frame's
+  /// header bytes read ahead with the last payload.
   [[nodiscard]] bool MidFrame() const noexcept {
     return header_got_ > 0 || state_ == State::kPayload;
   }
@@ -122,6 +126,7 @@ class FrameReader {
   uint32_t raw_len_ = 0;      // tag | length as it appeared on the wire
   uint32_t payload_len_ = 0;  // FrameLength(raw_len_)
   size_t payload_got_ = 0;
+  bool drained_ = false;
 };
 
 /// The floor and ceiling of the adaptive per-sendmsg gather budget.  The
@@ -141,7 +146,7 @@ inline constexpr size_t kGatherFramesMax = 64;
 /// may enqueue, or flush an idle link itself (Link::WriteThrough).
 ///
 /// Every payload is copied once on its way out: by the kernel in an
-/// ordinary sendmsg (or IORING_OP_SENDMSG), or in user space into a
+/// ordinary sendmsg, or in user space into a
 /// same-host link's ring (net/stream_ring.h) — see DESIGN.md §9.  The
 /// queue itself is copy-free: it holds the shared payload holder, never
 /// a copy of its bytes.
@@ -166,27 +171,9 @@ class FrameWriter {
   /// reach the wire.
   Status Flush(ByteStream& out);
 
-  // ---- completion-mode interface (submission backends) ----
-  // The writer stages a batch of frames out of the queue, the link
-  // submits it as one SENDMSG SQE, and the completed byte count comes
-  // back through CommitStaged.  Staged frames live in their own deque so
-  // their header bytes and iovec array stay at stable addresses while the
-  // kernel reads them — Enqueue/eviction never touches them.
-
-  /// Stages the next submission: pulls up to the adaptive gather budget
-  /// of frames from the queue, or resumes the batch already staged (a
-  /// short send restages its remainder).  The returned iovecs stay valid
-  /// until CommitStaged.  Empty when nothing is queued.
-  std::span<const iovec> StageSubmission();
-
-  /// Accounts `bytes` of completed staged send; completed frames pop.
-  void CommitStaged(size_t bytes) noexcept { Advance(staged_, bytes); }
-
-  [[nodiscard]] bool HasPending() const noexcept {
-    return !pending_.empty() || !staged_.empty();
-  }
+  [[nodiscard]] bool HasPending() const noexcept { return !pending_.empty(); }
   [[nodiscard]] size_t PendingFrames() const noexcept {
-    return pending_.size() + staged_.size();
+    return pending_.size();
   }
   [[nodiscard]] uint64_t FramesWritten() const noexcept {
     return frames_written_;
@@ -208,17 +195,15 @@ class FrameWriter {
     size_t offset = 0;  // bytes of (header + payload) already written
   };
 
-  /// Builds the header + payload iovec list of the first `count` frames
-  /// into iov_, resuming the front frame at its offset.
-  std::span<const iovec> Gather(std::deque<PendingFrame>& frames,
-                                size_t count);
-  /// Credits `bytes` the kernel accepted to the front of `frames`,
+  /// Builds the header + payload iovec list of the first `count` queued
+  /// frames into iov_, resuming the front frame at its offset.
+  std::span<const iovec> Gather(size_t count);
+  /// Credits `bytes` the stream accepted to the front of the queue,
   /// popping every frame that completed.
-  void Advance(std::deque<PendingFrame>& frames, size_t bytes) noexcept;
+  void Advance(size_t bytes) noexcept;
   void AdaptGatherBudget() noexcept;
 
   std::deque<PendingFrame> pending_;
-  std::deque<PendingFrame> staged_;  // completion-mode: frames in flight
   std::vector<iovec> iov_;  // reused gather scratch (grows with the budget)
   uint64_t frames_written_ = 0;
   uint64_t bytes_written_ = 0;

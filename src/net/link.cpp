@@ -1,9 +1,7 @@
 #include "net/link.h"
 
-#include <limits.h>
 #include <sys/socket.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -72,8 +70,7 @@ uint64_t WriteTimeoutNanos() noexcept {
 Link::Link(EventLoop* loop, Options options, Callbacks callbacks)
     : loop_(loop),
       options_(options),
-      callbacks_(std::move(callbacks)),
-      submit_mode_(loop->io_backend()->SupportsSubmission()) {
+      callbacks_(std::move(callbacks)) {
   // Counted at construction, not registration, so a dial burst spreads
   // across the pool before any of the links finish binding.
   loop_->NoteLinkBound();
@@ -222,19 +219,6 @@ void Link::Register() {
 }
 
 uint32_t Link::CurrentInterest() {
-  if (submit_mode_) {
-    // Sends always travel as submissions and established-state receives as
-    // recv SQEs; readiness is only needed to resolve the connect and to
-    // drive the (deliberately readiness-shaped) handshake exchange.
-    switch (state()) {
-      case State::kConnecting:
-        return kEventWritable;
-      case State::kHandshaking:
-        return kEventReadable;
-      default:
-        return 0;
-    }
-  }
   bool write_pending;
   {
     std::lock_guard<std::mutex> lock(write_mutex_);
@@ -274,15 +258,7 @@ void Link::OnEvent(uint32_t events) {
   }
   if (state() == State::kClosed) return;
   if (events & kEventReadable) {
-    if (submit_mode_) {
-      // Only the handshake reads by readiness here; in kEstablished the
-      // recv SQE owns the socket and a stale single-shot poll completion
-      // (armed during the handshake, reaped after the transition) must not
-      // race it with a second reader.
-      if (state() == State::kHandshaking) HandshakeReadable();
-      // Bytes buffered behind the handshake reply are picked up by the
-      // first recv SQE — EnterEstablished arms it before returning.
-    } else if (state() == State::kEstablished && paused_) {
+    if (state() == State::kEstablished && paused_) {
       // Read interest is off, so this is an EPOLLERR/HUP fold-in: peek for
       // EOF without consuming frame bytes the resume will want.
       PeekForEof();
@@ -391,6 +367,9 @@ void Link::HandshakeReadable() {
         std::lock_guard<std::mutex> lock(write_mutex_);
         ring_ = std::move(ring_offer_);
         ring_granted_.store(true, std::memory_order_release);
+        // Frames come from the ring now; socket bytes past the reply
+        // (there should be none) are not the start of one.
+        reader_.Reset();
       }
     }
     ring_offer_.reset();
@@ -410,11 +389,6 @@ void Link::EnterEstablished() {
   if (callbacks_.on_established) callbacks_.on_established(shared_from_this());
   if (state() == State::kClosed) return;  // on_established may close
   FlushWriter();
-  // Completion-mode receive starts here: the first recv SQE also collects
-  // any bytes the peer sent right behind its handshake reply.
-  if (submit_mode_ && state() == State::kEstablished && !paused_) {
-    ArmReceive();
-  }
   // The server may have filled the ring before its reply was read here.
   if (RingReader() && state() == State::kEstablished && !paused_) {
     ReadFrames(*ring_);
@@ -460,11 +434,12 @@ void Link::OnDoorbell() {
   }
 }
 
-void Link::ReadRingNextTurn() {
+void Link::ReadNextTurn() {
   loop_->Post([self = shared_from_this()] {
-    if (self->RingReader() && self->state() == State::kEstablished &&
-        !self->paused_) {
-      self->ReadFrames(*self->ring_);
+    if (self->state() == State::kEstablished && !self->paused_) {
+      self->ReadFrames(self->RingReader()
+                           ? static_cast<ByteStream&>(*self->ring_)
+                           : self->conn_);
     }
   });
 }
@@ -497,7 +472,7 @@ void Link::ReadFrames(ByteStream& in) {
       // A writer that keeps refilling the ring would hold the loop here
       // for as long as it streams: let the loop's other handlers run, and
       // come back on the next turn.
-      ReadRingNextTurn();
+      ReadNextTurn();
       return;
     }
     ++frames;
@@ -510,6 +485,9 @@ void Link::ReadFrames(ByteStream& in) {
     if (*step == FrameReader::Step::kNeedMore) return;
     received_.fetch_add(1, std::memory_order_relaxed);
     callbacks_.on_frame(length);  // may pause or close the link
+    // A short socket read drained the socket: epoll reports what comes
+    // next, so no probe read for EAGAIN.
+    if (reader_.Drained()) return;
   }
 }
 
@@ -523,12 +501,13 @@ void Link::DrainDiscard() {
       CloseOnLoop(true);
       return;
     }
-    if (*n == 0) return;  // drained
+    if (*n < sizeof(scratch)) return;  // drained (a short read)
   }
 }
 
 void Link::PeekForEof() {
-  if (RingReader() && ring_->HasUnread()) return;  // frames before the EOF
+  // Frames before the EOF: in the ring, or read ahead from the socket.
+  if (RingReader() ? ring_->HasUnread() : reader_.FrameBuffered()) return;
   uint8_t byte;
   const ssize_t n = ::recv(conn_.fd(), &byte, 1, MSG_PEEK);
   if (n > 0) return;  // data waiting for the resume — not an error
@@ -570,10 +549,8 @@ Link::WriteResult Link::Enqueue(std::shared_ptr<const uint8_t[]> payload,
     if (s == State::kClosed) {
       result.dropped = true;
     } else {
-      // A ring write is a memcpy and at most a doorbell, so a ring link
-      // writes through on either backend.
-      const bool send = write_through && (!submit_mode_ || RingWriter()) &&
-                        s == State::kEstablished && !writer_.HasPending();
+      const bool send = write_through && s == State::kEstablished &&
+                        !writer_.HasPending();
       result.dropped =
           writer_.Enqueue(std::move(payload), size, options_.max_pending_frames);
       result.queued = true;
@@ -599,14 +576,9 @@ void Link::FlushOnLoop() {
 
 void Link::FlushWriter() {
   // A client's ring offer goes with the request's first bytes or not at
-  // all — a plain nonblocking sendmsg on both backends, since nothing is
-  // in flight yet.  Unsent, the offer lapses and the server, finding no
+  // all.  Unsent, the offer lapses and the server, finding no
   // descriptors, keeps the link on the socket.
   const bool pass_fds = ring_offer_ != nullptr && !ring_fds_sent_;
-  if (submit_mode_ && !RingWriter() && !pass_fds) {
-    PumpSend();
-    return;
-  }
   Status status;
   bool pending;
   {
@@ -630,133 +602,7 @@ void Link::FlushWriter() {
     CloseOnLoop(true);
     return;
   }
-  if (pending && submit_mode_ && !RingWriter()) {
-    PumpSend();
-    return;
-  }
   if (pending) MaybeArmWriteDeadline();
-}
-
-void Link::ArmReceive() {
-  if (recv_armed_ || state() != State::kEstablished || paused_) return;
-  void* buf;
-  size_t len;
-  int flags;
-  if (callbacks_.on_frame && !RingReader()) {
-    // Aim the SQE at the reader's exact remaining window (header bytes,
-    // then the allocator's arena pointer) — the one-copy receive survives
-    // the backend swap.  MSG_WAITALL lets the kernel accumulate the whole
-    // window before completing, so a frame costs two CQEs (header,
-    // payload) instead of one per skb.
-    const std::span<uint8_t> window = reader_.NextWindow();
-    buf = window.data();
-    len = window.size();
-    flags = MSG_WAITALL;
-  } else {
-    // Drain-and-discard mode (publisher side): any completion is either
-    // junk to drop or EOF.
-    if (discard_buf_.empty()) discard_buf_.resize(4096);
-    buf = discard_buf_.data();
-    len = discard_buf_.size();
-    flags = 0;
-  }
-  recv_armed_ = loop_->io_backend()->SubmitRecv(
-      conn_.fd(), buf, len, flags,
-      [self = shared_from_this()](int32_t res) { self->OnRecvCqe(res); });
-  if (!recv_armed_) CloseOnLoop(true);
-}
-
-void Link::OnRecvCqe(int32_t res) {
-  recv_armed_ = false;
-  if (state() == State::kClosed) return;
-  if (res == 0) {  // orderly EOF
-    if (RingReader()) ReadFrames(*ring_);  // frames written before it
-    CloseOnLoop(true);
-    return;
-  }
-  if (res < 0) {
-    if (res == -EINTR || res == -EAGAIN || res == -ENOBUFS) {
-      ArmReceive();  // transient — re-stage the same window
-      return;
-    }
-    if (res == -ECANCELED) return;  // Del cancelled us mid-teardown
-    RSF_DEBUG("link: recv completion failed: %s", std::strerror(-res));
-    CloseOnLoop(true);
-    return;
-  }
-  if (!callbacks_.on_frame || RingReader()) {
-    ArmReceive();  // discarded
-    return;
-  }
-  // MSG_WAITALL can still complete short (signal, peer close mid-frame);
-  // Commit accumulates and reports kNeedMore, and the re-arm below stages
-  // the shrunken window.
-  uint32_t length = 0;
-  auto step = reader_.Commit(static_cast<size_t>(res), callbacks_.alloc,
-                             &length);
-  if (!step.ok()) {
-    CloseOnLoop(true);
-    return;
-  }
-  if (*step == FrameReader::Step::kFrame) {
-    received_.fetch_add(1, std::memory_order_relaxed);
-    callbacks_.on_frame(length);  // may pause or close the link
-  }
-  if (state() == State::kEstablished && !paused_) ArmReceive();
-}
-
-void Link::PumpSend() {
-  if (send_inflight_) return;
-  const State s = state();
-  if (s == State::kClosed || s == State::kConnecting) return;
-  std::span<const iovec> staged;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    staged = writer_.StageSubmission();
-  }
-  if (staged.empty()) {
-    if (s == State::kDraining) CloseOnLoop(true);
-    return;
-  }
-  send_hdr_ = msghdr{};
-  send_hdr_.msg_iov = const_cast<iovec*>(staged.data());
-  send_hdr_.msg_iovlen =
-      std::min<size_t>(staged.size(), static_cast<size_t>(IOV_MAX));
-  if (!loop_->io_backend()->SubmitSendMsg(
-          conn_.fd(), &send_hdr_,
-          [self = shared_from_this()](int32_t res) { self->OnSendCqe(res); })) {
-    CloseOnLoop(true);
-    return;
-  }
-  send_inflight_ = true;
-  MaybeArmWriteDeadline();
-}
-
-void Link::OnSendCqe(int32_t res) {
-  send_inflight_ = false;
-  if (state() == State::kClosed) return;
-  if (res < 0) {
-    if (res == -EINTR || res == -EAGAIN) {
-      PumpSend();  // restage the same batch
-      return;
-    }
-    if (res == -ECANCELED) return;
-    RSF_DEBUG("link: send completion failed: %s", std::strerror(-res));
-    CloseOnLoop(true);
-    return;
-  }
-  bool pending;
-  {
-    std::lock_guard<std::mutex> lock(write_mutex_);
-    writer_.CommitStaged(static_cast<size_t>(res));
-    pending = writer_.HasPending();
-    sent_.store(writer_.FramesWritten(), std::memory_order_relaxed);
-  }
-  if (pending) {
-    PumpSend();  // a short send resumes mid-frame; more frames keep going
-    return;
-  }
-  if (state() == State::kDraining) CloseOnLoop(true);
 }
 
 void Link::PauseReading() {
@@ -770,20 +616,15 @@ void Link::ResumeReading() {
   if (state() != State::kEstablished || !paused_) return;
   paused_ = false;
   if (RingReader()) {
-    // Frames that arrived while paused rang no doorbell (the reader was
-    // not asleep): read them on the next loop turn.
     loop_->SetInterest(ring_->wait_fd(), kEventReadable);
-    ReadRingNextTurn();
   }
-  if (submit_mode_) {
-    // Bytes that arrived while paused sit in the kernel buffer; the fresh
-    // recv SQE completes against them immediately.
-    ArmReceive();
-    return;
-  }
+  // Frames that arrived in the ring while paused rang no doorbell (the
+  // reader was not asleep), and an empty frame whose header the reader
+  // read ahead from the socket raises no readiness: read them on the next
+  // loop turn.  Bytes still in the socket's buffer need nothing:
+  // level-triggered epoll re-reports them.
+  if (RingReader() || reader_.FrameBuffered()) ReadNextTurn();
   UpdateInterest();
-  // Bytes that arrived while paused are already in the kernel buffer;
-  // level-triggered epoll re-reports them, so no manual read is needed.
 }
 
 void Link::CloseNow() { CloseOnLoop(false); }
@@ -795,10 +636,7 @@ void Link::CloseSync() {
 
 void Link::CloseOnLoop(bool notify) {
   if (state() == State::kClosed) return;
-  // Remove BEFORE close: on a submission backend this synchronously
-  // cancels every SQE targeting the fd (and drops the completion
-  // closures) — closing first would leave in-flight SQEs holding the file
-  // open.
+  // Remove BEFORE close: a closed fd number may be reused at once.
   if (registered_) {
     loop_->Remove(conn_.fd());
     registered_ = false;

@@ -205,12 +205,12 @@ class Link : public std::enable_shared_from_this<Link> {
     bool queued = false;   // frames wait in the queue: kick FlushOnLoop
   };
   /// Producer-side enqueue-and-send (thread-safe).  Queues the frame and,
-  /// when the link is established, readiness-driven (epoll) and its queue
-  /// was empty before this frame, writes it from the calling thread: one
-  /// nonblocking gathered sendmsg, FrameWriter::Flush.  Anything else —
-  /// a backlog, EAGAIN or a partial write, a send error (the loop's flush
-  /// rediscovers it and closes), a submission-mode (uring) link — leaves
-  /// frames queued, and `queued` tells the caller to kick the loop.
+  /// when the link is established and its queue was empty before this
+  /// frame, writes it from the calling thread: one nonblocking gathered
+  /// sendmsg (or ring write), FrameWriter::Flush.  Anything else — a
+  /// backlog, EAGAIN or a partial write, a send error (the loop's flush
+  /// rediscovers it and closes) — leaves frames queued, and `queued`
+  /// tells the caller to kick the loop.
   WriteResult WriteThrough(const OutFrame& frame);
 
   /// Flushes the writer queue as far as the socket allows and re-arms
@@ -311,18 +311,10 @@ class Link : public std::enable_shared_from_this<Link> {
   bool AdoptRingAsWriter();
   void RegisterDoorbell();
   void OnDoorbell();
-  /// Reads the ring on the loop's next turn (a reader that has not slept
-  /// gets no doorbell).
-  void ReadRingNextTurn();
-
-  // Completion-mode drivers (submission backends, net/io_backend.h):
-  // instead of readiness events, one recv SQE and one send submission are
-  // outstanding per link; their CQE callbacks land here on the loop
-  // thread.  Connect and handshake stay readiness-driven on both backends.
-  void ArmReceive();
-  void OnRecvCqe(int32_t res);
-  void PumpSend();
-  void OnSendCqe(int32_t res);
+  /// Reads frames on the loop's next turn: the ring's (a reader that has
+  /// not slept gets no doorbell) or, on a socket, the ones behind a header
+  /// the reader already holds.
+  void ReadNextTurn();
 
   /// Decrements the loop's live-link count exactly once (close or
   /// destruction, whichever comes first).
@@ -339,19 +331,10 @@ class Link : public std::enable_shared_from_this<Link> {
   // write_mutex_ so a locked reader sees a state consistent with conn_.
   std::atomic<State> state_{State::kClosed};
 
-  // True when the loop's backend carries I/O by submission (io_uring):
-  // established-state receives and all sends travel as SQEs with
-  // completion callbacks instead of readiness events + syscalls.
-  const bool submit_mode_;
-
   // Loop-confined.
   bool registered_ = false;
   bool paused_ = false;
   bool write_deadline_armed_ = false;
-  bool recv_armed_ = false;     // one outstanding recv SQE at a time
-  bool send_inflight_ = false;  // one outstanding send submission at a time
-  msghdr send_hdr_{};  // stable storage while a SENDMSG SQE is in flight
-  std::vector<uint8_t> discard_buf_;  // submit-mode drain-and-discard window
   FrameReader reader_;
   std::vector<uint8_t> handshake_buf_;
 

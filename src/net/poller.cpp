@@ -1,5 +1,6 @@
 #include "net/poller.h"
 
+#include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
@@ -12,9 +13,12 @@
 
 #include "common/clock.h"
 #include "common/log.h"
+#include "net/io_backend.h"
 
 namespace rsf::net {
 namespace {
+
+constexpr int kMaxEvents = 64;
 
 size_t ReactorPoolSize() {
   if (const char* env = std::getenv("RSF_REACTOR_THREADS")) {
@@ -38,25 +42,41 @@ size_t ReactorPoolSize() {
 
 }  // namespace
 
-EventLoop::EventLoop() : EventLoop(ResolveIoBackendKind()) {}
-
-EventLoop::EventLoop(IoBackendKind kind) {
-  backend_ = MakeIoBackend(kind);
+EventLoop::EventLoop() {
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  SFM_CHECK_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
   wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   SFM_CHECK_MSG(wake_fd_ >= 0, "eventfd failed");
   timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC | TFD_NONBLOCK);
   SFM_CHECK_MSG(timer_fd_ >= 0, "timerfd_create failed");
-  // Registered directly with the backend, not through Add: the wake and
-  // timer fds are loop plumbing, dispatched by fd compare in Run, and
-  // must not count toward NumHandlers.
-  SFM_CHECK(backend_->Add(wake_fd_, kEventReadable));
-  SFM_CHECK(backend_->Add(timer_fd_, kEventReadable));
+  // Registered directly with epoll, not through Add: the wake and timer
+  // fds are loop plumbing, dispatched by fd compare in Run, and must not
+  // count toward NumHandlers.
+  SFM_CHECK(Ctl(EPOLL_CTL_ADD, wake_fd_, kEventReadable));
+  SFM_CHECK(Ctl(EPOLL_CTL_ADD, timer_fd_, kEventReadable));
 }
 
 EventLoop::~EventLoop() {
   Stop();
   ::close(timer_fd_);
   ::close(wake_fd_);
+  ::close(epoll_fd_);
+}
+
+bool EventLoop::Ctl(int op, int fd, uint32_t interest) {
+  epoll_event event{};
+  if (interest & kEventReadable) event.events |= EPOLLIN | EPOLLRDHUP;
+  if (interest & kEventWritable) event.events |= EPOLLOUT;
+  event.data.fd = fd;
+  backend_counters::AddEpollCtls(1);
+  if (::epoll_ctl(epoll_fd_, op, fd, &event) == 0) return true;
+  // A DEL may find the fd already closed (peer teardown): EBADF/ENOENT
+  // are fine there.
+  if (op != EPOLL_CTL_DEL) {
+    RSF_WARN("epoll_ctl(%s, %d) failed: %s",
+             op == EPOLL_CTL_ADD ? "ADD" : "MOD", fd, std::strerror(errno));
+  }
+  return false;
 }
 
 void EventLoop::Start() {
@@ -201,7 +221,7 @@ void EventLoop::Add(int fd, uint32_t interest, EventCallback callback) {
   auto handler = std::make_shared<Handler>();
   handler->interest = interest;
   handler->callback = std::move(callback);
-  if (!backend_->Add(fd, interest)) return;
+  if (!Ctl(EPOLL_CTL_ADD, fd, interest)) return;
   handlers_[fd] = std::move(handler);
 }
 
@@ -209,14 +229,14 @@ void EventLoop::SetInterest(int fd, uint32_t interest) {
   auto it = handlers_.find(fd);
   if (it == handlers_.end()) return;
   if (it->second->interest == interest) return;
-  backend_->Mod(fd, interest);
+  Ctl(EPOLL_CTL_MOD, fd, interest);
   it->second->interest = interest;
 }
 
 void EventLoop::Remove(int fd) {
   auto it = handlers_.find(fd);
   if (it == handlers_.end()) return;
-  backend_->Del(fd);
+  Ctl(EPOLL_CTL_DEL, fd, 0);
   handlers_.erase(it);
 }
 
@@ -231,22 +251,26 @@ size_t EventLoop::NumTimers() const {
 }
 
 void EventLoop::Run() {
-  std::vector<ReadyEvent> events;
+  epoll_event events[kMaxEvents];
   std::vector<Task> ready;
   while (!stop_.load(std::memory_order_acquire)) {
-    events.clear();
-    // One backend turn: under uring this is where every staged SQE (all
-    // links' sends and recvs, poll re-arms) hits the kernel in a single
-    // enter, and where completion callbacks run.
-    if (!backend_->Wait(&events)) break;
-    for (const ReadyEvent& event : events) {
-      const int fd = event.fd;
+    int n;
+    do {
+      backend_counters::AddEpollWaits(1);
+      n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    } while (n < 0 && errno == EINTR);
+    if (n < 0) {
+      RSF_ERROR("epoll_wait failed: %s", std::strerror(errno));
+      break;
+    }
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[i].data.fd;
       if (fd == wake_fd_) {
         // One read resets the whole eventfd counter, however many kicks
         // it summed; a kick landing after it re-arms readiness.
         uint64_t drained;
         backend_counters::AddWakeupReads(1);
-        [[maybe_unused]] const ssize_t n =
+        [[maybe_unused]] const ssize_t r =
             ::read(wake_fd_, &drained, sizeof(drained));
         continue;
       }
@@ -261,8 +285,11 @@ void EventLoop::Run() {
       auto it = handlers_.find(fd);
       if (it == handlers_.end()) continue;
       auto handler = it->second;  // keeps the callback alive across Remove
-      uint32_t ready_bits = event.events & (kEventReadable | kEventWritable);
-      if (event.events & kEventError) {
+      const uint32_t raw = events[i].events;
+      uint32_t ready_bits = 0;
+      if (raw & (EPOLLIN | EPOLLRDHUP | EPOLLPRI)) ready_bits |= kEventReadable;
+      if (raw & EPOLLOUT) ready_bits |= kEventWritable;
+      if (raw & (EPOLLERR | EPOLLHUP)) {
         // Deliver the error through whatever direction is armed (readable
         // when none is) so the next read/write syscall surfaces the errno.
         ready_bits |= handler->interest & (kEventReadable | kEventWritable);

@@ -1,14 +1,12 @@
-// The event-driven I/O core: a reactor that carries every transport link
-// in the process, built on a pluggable I/O backend (net/io_backend.h).
+// The event-driven I/O core: an epoll reactor that carries every
+// transport link in the process.
 //
-// One `EventLoop` owns one IoBackend instance and one thread; every
+// One `EventLoop` owns one epoll instance and one thread; every
 // descriptor registered with it is serviced by that thread alone, so
 // per-connection state machines (net/link.h, net/framing.h) never need
-// their own synchronization.  The backend is epoll by default; with
-// RSF_IO_BACKEND=uring (or auto, on capable hosts) it is an io_uring
-// ring, where one io_uring_enter per loop turn submits every link's
-// staged send/recv SQEs and reaps every completion — the syscall-
-// batching optimization this layer exists to enable (DESIGN.md §10).
+// their own synchronization.  A loop turn is one epoll_wait(-1) over
+// level-triggered registrations; the handlers then issue their own
+// recv/sendmsg syscalls (DESIGN.md §10).
 // A small fixed pool of loops (`Reactor`, sized from the host's core
 // count) carries every TCP publication and subscription link in the
 // process — total transport threads stay constant no matter how many
@@ -23,8 +21,8 @@
 // guarantee no callback touches freed state.  `RunAfter` schedules delayed
 // tasks on a per-loop timerfd — the facility that lets SimLink-shaped
 // deliveries pace themselves on the loop instead of sleeping a dedicated
-// reader thread.  Both descriptors are registered with the backend like
-// any other fd, so timers and wakeups need no backend-specific plumbing.
+// reader thread.  Both descriptors are registered with epoll like any
+// other fd, and dispatched by fd compare in the loop turn.
 #pragma once
 
 #include <atomic>
@@ -38,11 +36,16 @@
 #include <vector>
 
 #include "common/status.h"
-#include "net/io_backend.h"
 
 namespace rsf::net {
 
-/// One I/O backend instance + one servicing thread.  Registration (`Add`,
+/// Readiness bits passed to an fd's event callback.  Error and hangup are
+/// folded into the armed read/write bits before dispatch, so the
+/// handler's next recv/sendmsg syscall surfaces the errno or EOF.
+inline constexpr uint32_t kEventReadable = 1u << 0;
+inline constexpr uint32_t kEventWritable = 1u << 1;
+
+/// One epoll instance + one servicing thread.  Registration (`Add`,
 /// `SetInterest`, `Remove`) is loop-thread-only: call through RunInLoop /
 /// Post from other threads.  Callbacks run on the loop thread.
 class EventLoop {
@@ -50,11 +53,7 @@ class EventLoop {
   using EventCallback = std::function<void(uint32_t events)>;
   using Task = std::function<void()>;
 
-  /// Builds on the process-selected backend (RSF_IO_BACKEND).
   EventLoop();
-  /// Builds on a specific backend kind (tests, the bench).  A uring
-  /// request still falls back to epoll when the host can't run it.
-  explicit EventLoop(IoBackendKind kind);
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
@@ -102,17 +101,9 @@ class EventLoop {
   /// Loop-thread-only.
   void SetInterest(int fd, uint32_t interest);
   /// Unregisters `fd`; no-op if unknown (removal paths may race benignly).
-  /// Cancels any submissions targeting the fd — call BEFORE closing it.
-  /// Safe to call from inside the fd's own callback.  Loop-thread-only.
+  /// Call BEFORE closing the fd.  Safe to call from inside the fd's own
+  /// callback.  Loop-thread-only.
   void Remove(int fd);
-
-  /// The backend carrying this loop's I/O.  Links use it directly for the
-  /// submission tier (SubmitRecv/SubmitSendMsg); completion callbacks run
-  /// on the loop thread, inside the Wait that reaped them.
-  [[nodiscard]] IoBackend* io_backend() noexcept { return backend_.get(); }
-  [[nodiscard]] const char* backend_name() const noexcept {
-    return backend_->name();
-  }
 
   /// Live-link accounting for least-loaded loop assignment
   /// (Reactor::NextLoop).  Incremented when a Link binds to this loop,
@@ -140,12 +131,15 @@ class EventLoop {
   };
 
   void Run();
+  /// epoll_ctl(op) with `interest` as epoll bits; counted.  False on
+  /// failure (logged; a DEL of an fd the kernel already dropped is fine).
+  bool Ctl(int op, int fd, uint32_t interest);
   void Wakeup();
   void AddTimerOnLoop(uint64_t deadline_nanos, Task task);
   void ArmTimerFd(uint64_t now_nanos);
   void FireDueTimers();
 
-  std::unique_ptr<IoBackend> backend_;
+  int epoll_fd_ = -1;
   int wake_fd_ = -1;
   int timer_fd_ = -1;
   std::atomic<bool> running_{false};

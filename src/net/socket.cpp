@@ -230,15 +230,24 @@ Status TcpConnection::ReadExact(std::span<uint8_t> data) {
 }
 
 Result<size_t> TcpConnection::ReadSome(std::span<uint8_t> data) {
-  if (data.empty()) return size_t{0};  // recv(…, 0) would mimic EOF
+  return ReadAhead(data, {});
+}
+
+Result<size_t> TcpConnection::ReadAhead(std::span<uint8_t> data,
+                                       std::span<uint8_t> ahead) {
+  if (data.empty()) return size_t{0};  // a 0-byte read would mimic EOF
+  iovec iov[2] = {{data.data(), data.size()}, {ahead.data(), ahead.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = ahead.empty() ? 1 : 2;
   for (;;) {
     g_recv_syscalls.fetch_add(1, std::memory_order_relaxed);
-    const ssize_t n = ::recv(fd_.fd(), data.data(), data.size(), 0);
+    const ssize_t n = ::recvmsg(fd_.fd(), &msg, 0);
     if (n > 0) return static_cast<size_t>(n);
     if (n == 0) return UnavailableError("connection closed");
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return size_t{0};
-    return ErrnoStatus("recv");
+    return ErrnoStatus("recvmsg");
   }
 }
 

@@ -135,6 +135,18 @@ class TcpConnection final : public ByteStream {
   /// kUnavailable.
   Result<size_t> ReadSome(std::span<uint8_t> data) override;
 
+  /// Scatter read (one recvmsg): `data`, then `ahead`.  Counts as one
+  /// recv.
+  Result<size_t> ReadAhead(std::span<uint8_t> data,
+                           std::span<uint8_t> ahead) override;
+
+  /// A stream socket returns less than asked only when its receive queue
+  /// ran dry, and the reactor's level-triggered epoll reports what comes
+  /// next.
+  [[nodiscard]] bool ShortReadDrains() const noexcept override {
+    return true;
+  }
+
   /// Nonblocking single gathered write (one sendmsg).  Returns the bytes
   /// the kernel accepted, or 0 when the socket buffer is full (EAGAIN).
   /// The caller resumes from wherever the count left off (FrameWriter).
@@ -191,10 +203,10 @@ Status ApplyTransportSocketOptions(TcpConnection& conn);
 /// syscalls-per-message budget (one `sendmsg` per frame) without strace.
 uint64_t WriteSyscallCount() noexcept;
 
-/// Process-wide count of read-side socket syscalls (`recv`) issued by
-/// TcpConnection.  Together with WriteSyscallCount and the backend
-/// counters (net/io_backend.h) this is the syscalls-per-delivery shim the
-/// batching tests and the connection bench difference.
+/// Process-wide count of read-side socket syscalls (`recv`, `recvmsg`)
+/// issued by TcpConnection.  Together with WriteSyscallCount and the
+/// reactor's counters (net/io_backend.h) this is the syscalls-per-delivery
+/// shim the syscall-count tests and the connection bench difference.
 uint64_t RecvSyscallCount() noexcept;
 
 /// Process-wide count of blocking TcpConnection::Connect calls.  A test

@@ -40,8 +40,11 @@ std::string TransportChecksum() {
   return md5;
 }
 
-/// Handle to an advertised topic; copyable, reference-counted.  The last
-/// handle going out of scope tears the publication down (roscpp semantics).
+/// Handle to an advertised topic; copyable, reference-counted.  The copies
+/// share one owner, and the last one to go runs Publication::Shutdown
+/// before releasing the publication (roscpp semantics): the topic leaves
+/// the in-process registry before that handle's destructor returns, even
+/// while a reactor task still holds the publication for a moment.
 class Publisher {
  public:
   Publisher() = default;
@@ -116,8 +119,14 @@ class Publisher {
 
  private:
   friend class NodeHandle;
-  explicit Publisher(std::shared_ptr<Publication> impl)
-      : impl_(std::move(impl)) {}
+  explicit Publisher(std::shared_ptr<Publication> publication) {
+    Publication* raw = publication.get();
+    impl_ = std::shared_ptr<Publication>(
+        raw, [owned = std::move(publication)](Publication*) mutable {
+          owned->Shutdown();
+          owned.reset();
+        });
+  }
 
   template <Message M>
   void CheckType() const {

@@ -33,8 +33,8 @@
 // Who sends (DESIGN.md §8): when the array holds exactly one wire lane
 // and no mcast cohort, the publishing thread writes that lane's frame to
 // the socket itself if the link is idle.  Every other case — more wire
-// lanes, a cohort, a backlog or short write, the uring backend — queues
-// the frames and kicks the loop once; the loop thread sends them.
+// lanes, a cohort, a backlog or short write — queues the frames and
+// kicks the loop once; the loop thread sends them.
 #pragma once
 
 #include <atomic>

@@ -13,12 +13,15 @@ constexpr int kCircle[16][2] = {
 }  // namespace
 
 std::vector<Keypoint> DetectFast(const uint8_t* gray, uint32_t width,
-                                 uint32_t height, const FastConfig& config) {
+                                 uint32_t height, const FastConfig& config,
+                                 uint64_t* pixels_tested) {
   std::vector<Keypoint> raw;
   const int t = config.threshold;
+  uint64_t tested = 0;
 
   for (uint32_t y = 3; y + 3 < height; ++y) {
     for (uint32_t x = 3; x + 3 < width; ++x) {
+      ++tested;
       const int center = gray[y * width + x];
       const int hi = center + t;
       const int lo = center - t;
@@ -67,6 +70,8 @@ std::vector<Keypoint> DetectFast(const uint8_t* gray, uint32_t width,
                              static_cast<int16_t>(std::min(score, 32000))});
     }
   }
+
+  if (pixels_tested != nullptr) *pixels_tested += tested;
 
   // Non-maximum suppression on a coarse grid, strongest first.
   std::sort(raw.begin(), raw.end(),

@@ -35,9 +35,12 @@ struct FastConfig {
   int nms_radius = 6;      // non-maximum suppression radius
 };
 
-/// FAST-style corner detection over a grayscale image (row-major).
+/// FAST-style corner detection over a grayscale image (row-major).  When
+/// `pixels_tested` is given, the number of candidate pixels the segment
+/// test visited is added to it.
 std::vector<Keypoint> DetectFast(const uint8_t* gray, uint32_t width,
-                                 uint32_t height, const FastConfig& config);
+                                 uint32_t height, const FastConfig& config,
+                                 uint64_t* pixels_tested = nullptr);
 
 /// BRIEF-style descriptors for keypoints (sampled pairs in a 31x31 patch;
 /// keypoints too close to the border get zero descriptors).

@@ -18,7 +18,8 @@ SlamResult OrbSlamLite::ProcessFrame(const uint8_t* gray, uint32_t width,
   for (int pass = 0; pass < std::max(1, config_.work_factor); ++pass) {
     FastConfig fast = config_.fast;
     fast.threshold += pass * 2;
-    auto keypoints = DetectFast(gray, width, height, fast);
+    auto keypoints =
+        DetectFast(gray, width, height, fast, &result.work_iterations);
     if (pass == 0) result.keypoints = std::move(keypoints);
   }
   auto descriptors = ComputeBrief(gray, width, height, result.keypoints);

@@ -19,6 +19,10 @@ struct SlamResult {
   std::vector<Keypoint> keypoints;  // current frame's features
   std::vector<Match> matches;       // matches against the previous frame
   double compute_millis = 0;        // wall time spent in ProcessFrame
+  /// Work done, as inner-loop iterations: the candidate pixels the FAST
+  /// segment test visited, over every pyramid pass.  Unlike the wall
+  /// time, other load on the host does not move it.
+  uint64_t work_iterations = 0;
 };
 
 class OrbSlamLite {

@@ -1,8 +1,7 @@
-// Backend parameterization for the net-layer tests: every reactor/link
-// suite runs once per IoBackendKind, so the io_uring submission paths get
-// the same coverage as epoll.  Uring cases skip — with a logged reason,
-// never a silent pass — on hosts where the setup probe fails (seccomp,
-// pre-5.1 kernel).
+// Test names for the net-layer suites.  The reactor and link suites were
+// once parameterized over two I/O backends; epoll is the only one now, and
+// each suite keeps its one `Backends/<suite>.<case>/epoll` instantiation so
+// that its cases keep the names test history and filters know them by.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,32 +14,15 @@
 
 namespace rsf::net {
 
-/// Skip-only base: suites that build their own loops (LinkHarness) derive
-/// from this and read GetParam() themselves.
-class BackendSkipTest : public ::testing::TestWithParam<IoBackendKind> {
- protected:
-  void SetUp() override {
-    if (GetParam() == IoBackendKind::kUring && !UringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this host (io_uring_setup "
-                      "probe failed — seccomp or pre-5.1 kernel); uring "
-                      "backend cases skipped";
-    }
-  }
-};
+/// Base for suites that build their own loops (LinkHarness).
+class BackendTest : public ::testing::TestWithParam<IoBackendKind> {};
 
-/// Skip + a ready-made loop on the parameterized backend.
-class BackendParamTest : public BackendSkipTest {
+/// A ready-made loop.
+class BackendParamTest : public BackendTest {
  protected:
-  void SetUp() override {
-    BackendSkipTest::SetUp();
-    if (IsSkipped()) return;
-    loop_ = std::make_unique<EventLoop>(GetParam());
-  }
-  void TearDown() override {
-    if (loop_ != nullptr) loop_->Stop();
-  }
+  void TearDown() override { loop_->Stop(); }
 
-  std::unique_ptr<EventLoop> loop_;
+  std::unique_ptr<EventLoop> loop_ = std::make_unique<EventLoop>();
 };
 
 inline std::string BackendParamName(
@@ -48,10 +30,9 @@ inline std::string BackendParamName(
   return IoBackendKindName(info.param);
 }
 
-#define RSF_INSTANTIATE_BACKEND_SUITE(suite)                             \
-  INSTANTIATE_TEST_SUITE_P(Backends, suite,                              \
-                           ::testing::Values(IoBackendKind::kEpoll,      \
-                                             IoBackendKind::kUring),     \
+#define RSF_INSTANTIATE_BACKEND_SUITE(suite)                          \
+  INSTANTIATE_TEST_SUITE_P(Backends, suite,                           \
+                           ::testing::Values(IoBackendKind::kEpoll),  \
                            BackendParamName)
 
 }  // namespace rsf::net

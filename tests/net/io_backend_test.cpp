@@ -1,10 +1,7 @@
-// Tests for the IoBackend seam itself (net/io_backend.h): backend
-// selection and the forced-failure fallback path, the epoll/uring
-// capability surface, and — the acceptance test for this layer — a
-// counter-based proof that the uring backend batches transport syscalls
-// instead of us inferring it from latency.  The formal 256-link × 4×
-// criterion runs in bench/ablation_connections; here a smaller fleet
-// proves the same property inside the test suite.
+// Tests for the reactor's backend naming (net/io_backend.h) and a
+// counter-based check of what a TCP delivery costs in syscalls: the
+// numbers `perfbench --trace` and bench/ablation_connections report come
+// from the same counters.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -60,53 +57,23 @@ class ScopedEnv {
 };
 
 TEST(IoBackendSelection, EpollIsTheDefault) {
-  ScopedEnv env("RSF_IO_BACKEND", "epoll");
-  auto backend = MakeIoBackend(ResolveIoBackendKind());
-  ASSERT_NE(backend, nullptr);
-  EXPECT_STREQ(backend->name(), "epoll");
-  EXPECT_FALSE(backend->SupportsSubmission());
-}
-
-TEST(IoBackendSelection, ForcedUnavailableFallsBackToWorkingEpollLoop) {
-  // The acceptance-criteria fallback path: RSF_IO_BACKEND=auto on a host
-  // where io_uring_setup fails (seccomp, old kernel) must degrade to a
-  // fully functional epoll loop — not crash, not dead-loop.  The force
-  // hook stands in for the real refusal on capable hosts.
-  ScopedEnv force("RSF_URING_FORCE_UNAVAILABLE", "1");
-  {
-    ScopedEnv env("RSF_IO_BACKEND", "auto");
-    EXPECT_EQ(ResolveIoBackendKind(), IoBackendKind::kEpoll);
-  }
-  {
-    ScopedEnv env("RSF_IO_BACKEND", "uring");
-    EXPECT_EQ(ResolveIoBackendKind(), IoBackendKind::kEpoll);
-  }
-  // An explicit kUring construction request also degrades (and the loop
-  // it yields actually dispatches I/O).
-  EventLoop loop(IoBackendKind::kUring);
-  EXPECT_STREQ(loop.backend_name(), "epoll");
-  loop.Start();
-  std::atomic<bool> ran{false};
-  ASSERT_TRUE(loop.Post([&] { ran.store(true); }));
-  ASSERT_TRUE(WaitFor([&] { return ran.load(); }));
-  loop.Stop();
+  EXPECT_EQ(ResolveIoBackendKind(), IoBackendKind::kEpoll);
+  EXPECT_STREQ(IoBackendKindName(ResolveIoBackendKind()), "epoll");
 }
 
 TEST(IoBackendSelection, InvalidEnvValueDegradesToEpoll) {
-  ScopedEnv env("RSF_IO_BACKEND", "iocp");
-  EXPECT_EQ(ResolveIoBackendKind(), IoBackendKind::kEpoll);
-}
-
-TEST(IoBackendSelection, UringWhenAvailable) {
-  if (!UringAvailable()) {
-    GTEST_SKIP() << "io_uring unavailable on this host; selection test "
-                    "covered by the fallback cases";
+  // RSF_IO_BACKEND is no longer read: a deployment that still sets it, to
+  // the deleted "uring" or to junk, gets a working epoll loop.
+  for (const char* value : {"uring", "auto", "iocp"}) {
+    ScopedEnv env("RSF_IO_BACKEND", value);
+    EXPECT_EQ(ResolveIoBackendKind(), IoBackendKind::kEpoll);
+    EventLoop loop;
+    loop.Start();
+    std::atomic<bool> ran{false};
+    ASSERT_TRUE(loop.Post([&] { ran.store(true); }));
+    ASSERT_TRUE(WaitFor([&] { return ran.load(); }));
+    loop.Stop();
   }
-  ScopedEnv env("RSF_IO_BACKEND", "auto");
-  EXPECT_EQ(ResolveIoBackendKind(), IoBackendKind::kUring);
-  auto backend = MakeIoBackend(IoBackendKind::kUring);
-  ASSERT_NE(backend, nullptr);
-  EXPECT_STREQ(backend->name(), "uring");
 }
 
 class IoBackendLoop : public BackendParamTest {};
@@ -115,8 +82,8 @@ RSF_INSTANTIATE_BACKEND_SUITE(IoBackendLoop);
 TEST_P(IoBackendLoop, ReactorAssignsLeastLoadedLoop) {
   // Two loops, three links: the third must land on whichever loop the
   // first close vacated — live-link counts, not blind rotation.
-  EventLoop a(GetParam());
-  EventLoop b(GetParam());
+  EventLoop a;
+  EventLoop b;
   a.Start();
   b.Start();
   EXPECT_EQ(a.LiveLinks(), 0u);
@@ -141,15 +108,14 @@ struct LinkPair {
 };
 
 TEST_P(IoBackendLoop, SubmissionBatchingCutsSyscallsPerDelivery) {
-  // The shim-counter proof, in miniature: 32 sender→receiver pairs on one
-  // loop, several stop-and-wait delivery rounds, syscalls differenced
-  // around the steady state.  Epoll pays sendmsg + recv(s) + an
-  // epoll_wait share per delivery (≈3-5); uring batches every staged SQE
-  // into one enter per loop turn, so its transport syscalls per delivered
-  // frame must come in well under half of epoll's — and under 2.0
-  // absolute.  (The 256-link ≥4× acceptance run lives in
-  // bench/ablation_connections, where fleets are big enough to amortize
-  // the turn.)
+  // The TCP syscall count: 32 sender→receiver pairs over loopback TCP on
+  // one loop, stop-and-wait rounds, syscalls differenced around the steady
+  // state.  A delivery pays one sendmsg, one recv for the header and one
+  // recvmsg for the payload — which also asks for the next frame's header,
+  // so coming back short tells the reader the socket is drained and no
+  // EAGAIN probe read follows — plus shares of epoll_wait and of the
+  // eventfd kick each pair's RunInLoop costs.  (The case keeps the name it
+  // had when it compared two I/O backends.)
   constexpr int kPairs = 32;
   constexpr int kRounds = 20;
   constexpr uint32_t kPayload = 512;
@@ -227,12 +193,10 @@ TEST_P(IoBackendLoop, SubmissionBatchingCutsSyscallsPerDelivery) {
   const double syscalls =
       static_cast<double>(after.TotalSyscalls() - before.TotalSyscalls());
   const double per_delivery = syscalls / deliveries;
-  RSF_INFO("backend %s: %.2f transport syscalls per delivered frame "
-           "(enter %llu, epoll_wait %llu, sendmsg %llu, recv %llu, "
+  RSF_INFO("%.2f transport syscalls per delivered frame "
+           "(epoll_wait %llu, sendmsg %llu, recv %llu, "
            "wakeup write %llu, wakeup read %llu)",
-           loop.backend_name(), per_delivery,
-           static_cast<unsigned long long>(after.enter_calls -
-                                           before.enter_calls),
+           per_delivery,
            static_cast<unsigned long long>(after.epoll_waits -
                                            before.epoll_waits),
            static_cast<unsigned long long>(after.sendmsg_calls -
@@ -244,17 +208,18 @@ TEST_P(IoBackendLoop, SubmissionBatchingCutsSyscallsPerDelivery) {
            static_cast<unsigned long long>(after.wakeup_reads -
                                            before.wakeup_reads));
 
-  if (GetParam() == IoBackendKind::kUring) {
-    // Submission mode: no sendmsg/recv syscalls at all on the data path,
-    // and the enters amortize across the fleet.
-    EXPECT_EQ(after.sendmsg_calls, before.sendmsg_calls);
-    EXPECT_EQ(after.recv_calls, before.recv_calls);
-    EXPECT_LT(per_delivery, 2.0);
-  } else {
-    // Readiness mode pays per-link syscalls: at least one sendmsg and one
-    // recv per delivered frame.
-    EXPECT_GE(per_delivery, 2.0);
-  }
+  const double recvs_per_delivery =
+      static_cast<double>(after.recv_calls - before.recv_calls) / deliveries;
+  EXPECT_EQ(after.enter_calls, before.enter_calls);
+  // At least one sendmsg and one recv per delivered frame.
+  EXPECT_GE(per_delivery, 2.0);
+  // Two recvs per frame (measured: exactly 2.00); with the EAGAIN probe
+  // read it was three.
+  EXPECT_LE(recvs_per_delivery, 2.0);
+  // Besides the recvs: one sendmsg, one eventfd kick, and shares of
+  // epoll_wait and the kick's drain (measured 2.1, and up to 2.5 with six
+  // copies of this test running at once; 5.1 in all with three recvs).
+  EXPECT_LE(per_delivery, recvs_per_delivery + 3.0);
 
   for (auto& pair : pairs) {
     pair->sender->CloseSync();

@@ -3,13 +3,10 @@
 // connect success / refusal / timeout, handshakes split across partial
 // reads, close-during-handshake, server-role accept and reject (the
 // Draining flush), and timer-paced pause/resume delivery.  The CI
-// ThreadSanitizer job runs this whole binary.  Every suite is
-// parameterized over both I/O backends (backend_param.h): under uring the
-// same tests exercise the completion-mode recv/send drivers instead of
-// readiness + per-link syscalls.  The link suites also run over both
-// socket families: "Backends/" instantiations over loopback TCP, "Unix/"
-// over the same-host AF_UNIX socket (TcpListener::ListenLocal) — the
-// Link above the socket must not tell them apart.
+// ThreadSanitizer job runs this whole binary.  The link suites run over
+// both socket families: "Backends/" instantiations over loopback TCP,
+// "Unix/" over the same-host AF_UNIX socket (TcpListener::ListenLocal) —
+// the Link above the socket must not tell them apart.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -31,20 +28,19 @@
 namespace rsf::net {
 namespace {
 
-// The AF_UNIX instantiation of a backend suite.  Its parameter stays the
-// backend, so the TCP cases keep their names; the family is read back
-// from the instantiation name (UnixFamily).
-#define RSF_INSTANTIATE_UNIX_SUITE(suite)                                \
-  INSTANTIATE_TEST_SUITE_P(Unix, suite,                                  \
-                           ::testing::Values(IoBackendKind::kEpoll,      \
-                                             IoBackendKind::kUring),     \
+// The AF_UNIX instantiation of a suite.  Its parameter stays the backend,
+// so the TCP cases keep their names; the family is read back from the
+// instantiation name (UnixFamily).
+#define RSF_INSTANTIATE_UNIX_SUITE(suite)                          \
+  INSTANTIATE_TEST_SUITE_P(Unix, suite,                            \
+                           ::testing::Values(IoBackendKind::kEpoll), \
                            BackendParamName)
 
-class LinkTest : public BackendSkipTest {};
+class LinkTest : public BackendTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(LinkTest);
 RSF_INSTANTIATE_UNIX_SUITE(LinkTest);
 
-class LinkWriteTimeoutTest : public BackendSkipTest {};
+class LinkWriteTimeoutTest : public BackendTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(LinkWriteTimeoutTest);
 RSF_INSTANTIATE_UNIX_SUITE(LinkWriteTimeoutTest);
 
@@ -133,7 +129,7 @@ struct LinkHarness {
   std::vector<uint8_t> last_payload;  // guarded by mutex
   std::vector<uint8_t> receive_buf;   // loop-confined
 
-  explicit LinkHarness(IoBackendKind kind) : loop(kind) { loop.Start(); }
+  LinkHarness() { loop.Start(); }
   ~LinkHarness() { loop.Stop(); }
 
   /// Client-role callbacks: sends `request`, accepts any non-empty reply,
@@ -194,7 +190,7 @@ TEST_P(LinkTest, DialSucceedsHandshakesAndReceivesFrames) {
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::vector<uint8_t> seen_request;
   std::thread server([&] {
     RunServerPeer(listener, &seen_request, Bytes("welcome"),
@@ -234,7 +230,7 @@ TEST_P(LinkTest, DialRefusedReportsClosedNeverEstablished) {
     listener->Close();
   }
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   auto link = Link::Dial("127.0.0.1", dead_port, &harness.loop,
                          DialOptions(),
                          harness.ClientCallbacks(Bytes("hello")));
@@ -251,7 +247,7 @@ TEST_P(LinkTest, LocalFirstDialFallsBackToTcpAndDelivers) {
   FamilyListener tcp_only;
   tcp_only.tcp = *std::move(listener);
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread server([&] {
     RunServerPeer(tcp_only, nullptr, Bytes("welcome"),
                   [](TcpConnection& conn) {
@@ -283,7 +279,7 @@ TEST_P(LinkTest, LocalFirstDialRefusesANameHeldByAnotherOwner) {
   auto squatter = TcpListener::ListenLocal(tcp_only.port());
   ASSERT_TRUE(squatter.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread server([&] {
     RunServerPeer(tcp_only, nullptr, Bytes("welcome"),
                   [](TcpConnection& conn) {
@@ -306,7 +302,7 @@ TEST_P(LinkTest, DialToBlackholePeerTimesOut) {
   // until the link's own timer fires (the case under test) or fails fast
   // with EHOSTUNREACH/ENETUNREACH in constrained sandboxes — both must
   // surface as on_closed with no establish.
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   Link::Options options;
   options.connect_timeout_nanos = 200'000'000;  // 200 ms
   auto link = Link::Dial("192.0.2.1", 9, &harness.loop, DialOptions(options),
@@ -320,7 +316,7 @@ TEST_P(LinkTest, HandshakeReplySplitAcrossPartialReadsStillEstablishes) {
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread server([&] {
     auto conn = listener.Accept();
     ASSERT_TRUE(conn.ok());
@@ -361,7 +357,7 @@ TEST_P(LinkTest, PeerCloseDuringHandshakeClosesLink) {
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread server([&] {
     auto conn = listener.Accept();
     ASSERT_TRUE(conn.ok());
@@ -392,7 +388,7 @@ TEST_P(LinkTest, ServerRoleAcceptsHandshakeAndSendsFrames) {
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::shared_ptr<Link> server_link;
   std::mutex link_mutex;
 
@@ -467,7 +463,7 @@ TEST_P(LinkTest, ServerRoleRejectionFlushesErrorReplyThenCloses) {
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::thread client_thread([&] {
     auto conn = listener.Connect();
     ASSERT_TRUE(conn.ok());
@@ -516,7 +512,7 @@ TEST_P(LinkTest, TimerPacedPauseResumeDelaysDelivery) {
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::shared_ptr<Link> client_link;
   std::mutex link_mutex;
   constexpr uint64_t kGapNanos = 20'000'000;
@@ -631,15 +627,14 @@ Link::Callbacks AcceptingServerCallbacks(LinkHarness& harness) {
 }
 
 TEST_P(LinkTest, LargeFramesSurvivePartialSendsAndReleaseHolders) {
-  // Frames larger than SO_SNDBUF cannot leave in one send: the epoll
-  // writer resumes mid-frame on writability, and the uring writer restages
-  // the remainder of a short SENDMSG.  The peer byte-checks every frame,
+  // Frames larger than SO_SNDBUF cannot leave in one send: the writer
+  // resumes mid-frame on writability.  The peer byte-checks every frame,
   // and once the writer drains the queue drops its shared payload holders
   // (the payload's only other reference was released after enqueue).
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   const auto payload = PatternPayload(256 * 1024);  // > SO_SNDBUF
   constexpr int kFrames = 3;
   std::atomic<bool> peer_done{false};
@@ -683,15 +678,14 @@ TEST_P(LinkTest, ProducerWriteThroughRacesClose) {
   // loop closes the link.  WriteThrough reads the state and sends under the
   // lock CloseOnLoop flips the state and closes the fd under, so a producer
   // never sends on a closed or reused descriptor (the tsan job reports such
-  // an fd race), and every frame lands in exactly one bucket.  Under uring
-  // nothing is written through: every frame rides the loop kick.
+  // an fd race), and every frame lands in exactly one bucket.
   constexpr int kRounds = 200;
   constexpr int kProducers = 4;
   constexpr int kFramesPerProducer = 32;
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   const auto bytes = PatternPayload(512);
   const OutFrame frame{SharedCopy(bytes), static_cast<uint32_t>(bytes.size())};
   Link::Options options;
@@ -765,7 +759,7 @@ TEST_P(LinkWriteTimeoutTest, StalledPeerClosesLinkAndStrandsFrames) {
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::atomic<bool> release_peer{false};
   std::thread client([&] {
     auto conn = listener.Connect();
@@ -822,7 +816,7 @@ TEST_P(LinkWriteTimeoutTest, SlowConsumerEvictsOldestAndAccountsEveryFrame) {
   auto listener = ListenFamily();
   ASSERT_TRUE(listener.ok());
 
-  LinkHarness harness(GetParam());
+  LinkHarness harness;
   std::atomic<bool> release_peer{false};
   std::thread client([&] {
     auto conn = listener.Connect();

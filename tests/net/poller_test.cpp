@@ -3,12 +3,12 @@
 // RunSync teardown handshake, readiness dispatch, frames split across
 // arbitrary readiness events, mid-frame peer close, short-write resume,
 // drop-oldest eviction, and a mixed connect/disconnect stress that the CI
-// ThreadSanitizer job runs.  The loop suites are parameterized over both
-// I/O backends (backend_param.h); the FrameReader/FrameWriter suites drive
-// sockets directly and stay backend-free.
+// ThreadSanitizer job runs.  The FrameReader/FrameWriter suites drive
+// sockets directly, without a loop.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstring>
@@ -280,6 +280,60 @@ TEST(FrameReader, MultiFrameBurstDrains) {
     }
     return frames == 3;
   }));
+}
+
+TEST(FrameReader, PayloadReadBringsTheNextHeaderAndAShortReadDrains) {
+  // A burst of two frames, the second with an empty payload, then one more
+  // frame on its own.  Each payload read also asks for the next header, so
+  // the burst costs two recvs (header; payload + next header) and the
+  // empty frame none; the lone frame costs two, and its payload read,
+  // coming back short of the next header, ends the turn with no probe.
+  auto [client, server] = MakePair();
+  ASSERT_TRUE(server.SetNonBlocking(true).ok());
+  const auto buffered = [&server](ssize_t bytes) {
+    return WaitFor([&] {
+      uint8_t peek[32];
+      return ::recv(server.fd(), peek, sizeof(peek),
+                    MSG_PEEK | MSG_DONTWAIT) == bytes;
+    });
+  };
+  FrameReader reader;
+  std::vector<uint8_t> destination;
+  const FrameAllocator alloc = [&](uint32_t len) {
+    destination.resize(len == 0 ? 1 : len);
+    return destination.data();
+  };
+  const uint8_t payload[] = {1, 2, 3};
+  uint32_t length = 0;
+
+  ASSERT_TRUE(WriteFrame(client, payload).ok());
+  ASSERT_TRUE(WriteFrame(client, {}).ok());
+  ASSERT_TRUE(buffered(4 + 3 + 4));
+  uint64_t recvs = RecvSyscallCount();
+  auto step = reader.Poll(server, alloc, &length);
+  ASSERT_TRUE(step.ok());
+  ASSERT_EQ(*step, FrameReader::Step::kFrame);
+  EXPECT_EQ(length, 3u);
+  EXPECT_EQ(RecvSyscallCount() - recvs, 2u);
+  EXPECT_TRUE(reader.FrameBuffered());  // the empty frame's header
+  EXPECT_FALSE(reader.Drained());
+  recvs = RecvSyscallCount();
+  step = reader.Poll(server, alloc, &length);
+  ASSERT_TRUE(step.ok());
+  ASSERT_EQ(*step, FrameReader::Step::kFrame);
+  EXPECT_EQ(length, 0u);
+  EXPECT_EQ(RecvSyscallCount() - recvs, 0u);
+  EXPECT_FALSE(reader.MidFrame());
+
+  ASSERT_TRUE(WriteFrame(client, payload).ok());
+  ASSERT_TRUE(buffered(4 + 3));
+  recvs = RecvSyscallCount();
+  step = reader.Poll(server, alloc, &length);
+  ASSERT_TRUE(step.ok());
+  ASSERT_EQ(*step, FrameReader::Step::kFrame);
+  EXPECT_EQ(RecvSyscallCount() - recvs, 2u);
+  EXPECT_TRUE(reader.Drained());
+  EXPECT_EQ(destination[2], 3);
 }
 
 TEST(FrameReader, PeerCloseMidHeaderReportsUnavailable) {

@@ -516,7 +516,7 @@ TEST(StreamRingTest, DoorbellThePeerTampersWithNeverBlocksTheWriter) {
 
 // ---- Link over the ring ----
 
-class RingLinkTest : public BackendSkipTest {};
+class RingLinkTest : public BackendTest {};
 RSF_INSTANTIATE_BACKEND_SUITE(RingLinkTest);
 
 std::vector<uint8_t> Bytes(const char* text) {
@@ -541,8 +541,7 @@ struct RingLinkPair {
   std::mutex mutex;
   std::vector<uint8_t> last_payload;  // guarded by mutex
 
-  RingLinkPair(IoBackendKind kind, bool grant, Link::Options server_options)
-      : server_loop(kind), client_loop(kind) {
+  RingLinkPair(bool grant, Link::Options server_options) {
     server_loop.Start();
     client_loop.Start();
     auto listener = TcpListener::Listen(0);
@@ -630,7 +629,7 @@ std::shared_ptr<const uint8_t[]> Payload(size_t size, uint8_t seed) {
 }
 
 TEST_P(RingLinkTest, GrantedRingCarriesFramesWithoutSocketSyscalls) {
-  RingLinkPair pair(GetParam(), /*grant=*/true, Link::Options{});
+  RingLinkPair pair(/*grant=*/true, Link::Options{});
   ASSERT_TRUE(pair.server->ring());
   ASSERT_TRUE(pair.client->ring());
   constexpr int kFrames = 200;
@@ -658,7 +657,7 @@ TEST_P(RingLinkTest, GrantedRingCarriesFramesWithoutSocketSyscalls) {
 }
 
 TEST_P(RingLinkTest, RefusedRingLeavesTheLinkOnTheSocket) {
-  RingLinkPair pair(GetParam(), /*grant=*/false, Link::Options{});
+  RingLinkPair pair(/*grant=*/false, Link::Options{});
   EXPECT_FALSE(pair.server->ring());
   EXPECT_FALSE(pair.client->ring());
   EXPECT_TRUE(pair.client->local());
@@ -671,7 +670,7 @@ TEST_P(RingLinkTest, FramesWrittenBeforeShutdownArriveBeforeEof) {
   // The client's loop is held while the server fills the ring and closes,
   // so the doorbell and the socket's EOF are both pending when it wakes:
   // every frame is delivered before the link acts on the EOF.
-  RingLinkPair pair(GetParam(), /*grant=*/true, Link::Options{});
+  RingLinkPair pair(/*grant=*/true, Link::Options{});
   ASSERT_TRUE(pair.client->ring());
   constexpr int kFrames = 100;
   const auto payload = Payload(1024, 5);
@@ -701,7 +700,7 @@ TEST_P(RingLinkTest, FullRingKeepsDropOldestAndTheWriteDeadline) {
   Link::Options options;
   options.max_pending_frames = 8;
   options.write_timeout_nanos = 200'000'000;
-  RingLinkPair pair(GetParam(), /*grant=*/true, options);
+  RingLinkPair pair(/*grant=*/true, options);
   ASSERT_TRUE(pair.server->ring());
   std::mutex hold;
   std::unique_lock<std::mutex> held(hold);
@@ -731,7 +730,7 @@ TEST_P(RingLinkTest, HostileSubscriberCannotBlockThePublisher) {
   // publish rings into a full socket.  Then it rings the publisher and
   // drains the ring itself.  Producers and the publisher's loop return
   // throughout; a blocked call trips the alarm.
-  EventLoop loop(GetParam());
+  EventLoop loop;
   loop.Start();
   auto tcp = TcpListener::Listen(0);
   ASSERT_TRUE(tcp.ok());
@@ -823,13 +822,13 @@ size_t RingMappings() {
 TEST_P(RingLinkTest, CyclingRingLinksLeaksNoDescriptorsOrMappings) {
   // Warm-up cycle: lazily created process state (loggers, the backend
   // probe) is not a leak.
-  { RingLinkPair warm(GetParam(), true, Link::Options{}); }
+  { RingLinkPair warm(true, Link::Options{}); }
   const size_t fds = OpenFds();
   const size_t mappings = RingMappings();
   ASSERT_GT(fds, 0u);
   const auto payload = Payload(64, 2);
   for (int i = 0; i < 100; ++i) {
-    RingLinkPair pair(GetParam(), /*grant=*/true, Link::Options{});
+    RingLinkPair pair(/*grant=*/true, Link::Options{});
     ASSERT_TRUE(pair.client->ring());
     pair.Send(payload, 64, 1);
     ASSERT_TRUE(WaitFor([&] { return pair.frames.load() == 1; }));

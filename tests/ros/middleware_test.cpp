@@ -14,6 +14,7 @@
 #include <thread>
 
 #include "common/clock.h"
+#include "net/io_backend.h"
 #include "net/poller.h"
 #include "net/socket.h"
 #include "ros/ros.h"
@@ -531,10 +532,9 @@ TEST_F(MiddlewareTest, SingleWireLanePublishWritesThrough) {
   // One wire subscriber: the publishing thread sends the frame itself —
   // it reaches the socket even while every reactor loop is held busy, and
   // a steady-state publish wakes no loop.  Two wire subscribers: the
-  // publish only queues, and the loop sends once it is free.  Uring socket
-  // links never write through; there every publish rides the loop kick.
-  // On a same-host ring link the send is a ring write plus at most one
-  // doorbell (net/stream_ring.h), on either backend.
+  // publish only queues, and the loop sends once it is free.  On a
+  // same-host ring link the send is a ring write plus at most one doorbell
+  // (net/stream_ring.h).
   ros::NodeHandle pub_node("pub");
   ros::NodeHandle sub_node("sub");
   ros::SubscribeOptions options;
@@ -549,8 +549,6 @@ TEST_F(MiddlewareTest, SingleWireLanePublishWritesThrough) {
   auto pub = pub_node.advertise<std_msgs::String>("/write_through", 10);
   ASSERT_TRUE(WaitFor([&] { return pub.getNumSubscribers() == 1; }));
   const bool ring = pub.getStats().ring_links == 1;
-  const bool uring = !ring && std::string(rsf::net::Reactor::Get().Loop(0)
-                                              ->backend_name()) == "uring";
   // What the sending side pays per frame: a sendmsg, or a doorbell.
   const auto sends_now = [ring] {
     const rsf::net::IoSyscallCounters io = rsf::net::GlobalIoCounters();
@@ -566,10 +564,7 @@ TEST_F(MiddlewareTest, SingleWireLanePublishWritesThrough) {
     ASSERT_TRUE(WaitFor([&] { return got.load() == i + 1; }));
   }
   const rsf::net::IoSyscallCounters after = rsf::net::GlobalIoCounters();
-  if (uring) {
-    EXPECT_GE(after.wakeup_writes - before.wakeup_writes,
-              static_cast<uint64_t>(kMessages));
-  } else if (ring) {
+  if (ring) {
     EXPECT_EQ(after.wakeup_writes - before.wakeup_writes, 0u);
     EXPECT_EQ(after.sendmsg_calls - before.sendmsg_calls, 0u);
     // A reader still awake from the last frame needs no doorbell.
@@ -587,7 +582,7 @@ TEST_F(MiddlewareTest, SingleWireLanePublishWritesThrough) {
     LoopLatch latch;
     const uint64_t sends = sends_now();
     pub.publish(msg);
-    EXPECT_EQ(sends_now() - sends, uring ? 0u : 1u);
+    EXPECT_EQ(sends_now() - sends, 1u);
   }
   ASSERT_TRUE(WaitFor([&] { return got.load() == kMessages + 1; }));
 
@@ -601,9 +596,7 @@ TEST_F(MiddlewareTest, SingleWireLanePublishWritesThrough) {
     EXPECT_EQ(sends_now(), sends);
   }
   ASSERT_TRUE(WaitFor([&] { return got.load() == kMessages + 3; }));
-  if (!uring) {
-    EXPECT_GE(sends_now() - sends, 2u);
-  }
+  EXPECT_GE(sends_now() - sends, 2u);
 }
 
 TEST_F(MiddlewareTest, RingLinkPaysNoSocketSyscallsPerFrame) {
@@ -700,8 +693,7 @@ TEST_F(MiddlewareTest, SocketLinkPublishWritesThroughWithOneSendmsg) {
   // unshaped NodeHandle subscription no longer reaches (it gets a ring): a
   // same-host subscriber that does not ask for the ring stays on the
   // AF_UNIX socket, and each publish with nothing queued is one sendmsg
-  // from the publishing thread, waking no loop.  Uring socket links never
-  // write through; there every publish rides a loop kick.
+  // from the publishing thread, waking no loop.
   auto publication = ros::Publication::Create(
       "/socket_write_through", std_msgs::String::DataType(),
       ros::TransportChecksum<std_msgs::String>(), "pub", 8);
@@ -733,8 +725,6 @@ TEST_F(MiddlewareTest, SocketLinkPublishWritesThroughWithOneSendmsg) {
   ASSERT_TRUE(WaitFor([&] { return pub->Stats().tcp_links == 1; }));
   ASSERT_EQ(pub->Stats().unix_links, 1u);
   ASSERT_EQ(pub->Stats().ring_links, 0u);
-  const bool uring = std::string(rsf::net::Reactor::Get().Loop(0)
-                                     ->backend_name()) == "uring";
   std_msgs::String msg;
   msg.data = "through";
   constexpr int kMessages = 16;
@@ -744,14 +734,9 @@ TEST_F(MiddlewareTest, SocketLinkPublishWritesThroughWithOneSendmsg) {
     ASSERT_TRUE(WaitFor([&] { return frames.load() == i + 1; }));
   }
   const rsf::net::IoSyscallCounters after = rsf::net::GlobalIoCounters();
-  if (uring) {
-    EXPECT_GE(after.wakeup_writes - before.wakeup_writes,
-              static_cast<uint64_t>(kMessages));
-  } else {
-    EXPECT_EQ(after.wakeup_writes - before.wakeup_writes, 0u);
-    EXPECT_EQ(after.sendmsg_calls - before.sendmsg_calls,
-              static_cast<uint64_t>(kMessages));
-  }
+  EXPECT_EQ(after.wakeup_writes - before.wakeup_writes, 0u);
+  EXPECT_EQ(after.sendmsg_calls - before.sendmsg_calls,
+            static_cast<uint64_t>(kMessages));
   EXPECT_EQ(after.doorbell_writes - before.doorbell_writes, 0u);
   link->CloseSync();
   pub->Shutdown();

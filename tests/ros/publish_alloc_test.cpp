@@ -98,8 +98,8 @@ TEST(PublishAllocTest, SameHostImuAllocatesOnlyItsHandles) {
   constexpr int kWarmup = 2000;
   constexpr int kMessages = 20000;
   // Measured: 2.09 — the two handles, plus a node of the link's frame
-  // queue (a std::deque) every 12 frames; up to 2.10 on uring and under
-  // TSan, where the queue churns a little more.  8.09 before the records
+  // queue (a std::deque) every 12 frames; up to 2.10 under TSan, where
+  // the queue churns a little more.  8.09 before the records
   // stayed with their blocks.  One allocation per message coming back
   // fails this bound.
   constexpr double kMaxAllocationsPerMessage = 2.2;
