@@ -134,6 +134,28 @@ bool FrameReader::FrameBuffered() const noexcept {
          FrameLength(LoadLE<uint32_t>(header_)) == 0;
 }
 
+void FrameWriter::Queue::push_back(PendingFrame frame) {
+  if (size_ == slots_.size()) {
+    std::vector<PendingFrame> grown(slots_.empty() ? 8 : 2 * slots_.size());
+    for (size_t i = 0; i < size_; ++i) grown[i] = std::move((*this)[i]);
+    slots_ = std::move(grown);
+    head_ = 0;
+  }
+  (*this)[size_] = std::move(frame);
+  ++size_;
+}
+
+void FrameWriter::Queue::pop_front() noexcept {
+  front().payload.reset();
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --size_;
+}
+
+void FrameWriter::Queue::erase(size_t i) noexcept {
+  for (; i > 0; --i) (*this)[i] = std::move((*this)[i - 1]);
+  pop_front();
+}
+
 bool FrameWriter::Enqueue(std::shared_ptr<const uint8_t[]> payload,
                           uint32_t size, size_t max_pending) {
   bool evicted = false;
@@ -143,7 +165,7 @@ bool FrameWriter::Enqueue(std::shared_ptr<const uint8_t[]> payload,
     const size_t victim =
         (!pending_.empty() && pending_.front().offset > 0) ? 1 : 0;
     if (victim < pending_.size()) {
-      pending_.erase(pending_.begin() + static_cast<long>(victim));
+      pending_.erase(victim);
       evicted = true;
     }
   }

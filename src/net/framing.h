@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -195,6 +194,29 @@ class FrameWriter {
     size_t offset = 0;  // bytes of (header + payload) already written
   };
 
+  /// The frame queue: a circular buffer whose slots are reused, growing
+  /// by doubling when full, so a steady stream allocates nothing per
+  /// frame.
+  class Queue {
+   public:
+    [[nodiscard]] size_t size() const noexcept { return size_; }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    PendingFrame& operator[](size_t i) noexcept {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    PendingFrame& front() noexcept { return (*this)[0]; }
+    void push_back(PendingFrame frame);
+    /// Releases the front frame's payload and frees its slot.
+    void pop_front() noexcept;
+    /// Removes the frame at `i`, keeping the others' order.
+    void erase(size_t i) noexcept;
+
+   private:
+    std::vector<PendingFrame> slots_;  // a power of two in size, or empty
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   /// Builds the header + payload iovec list of the first `count` queued
   /// frames into iov_, resuming the front frame at its offset.
   std::span<const iovec> Gather(size_t count);
@@ -203,7 +225,7 @@ class FrameWriter {
   void Advance(size_t bytes) noexcept;
   void AdaptGatherBudget() noexcept;
 
-  std::deque<PendingFrame> pending_;
+  Queue pending_;
   std::vector<iovec> iov_;  // reused gather scratch (grows with the budget)
   uint64_t frames_written_ = 0;
   uint64_t bytes_written_ = 0;

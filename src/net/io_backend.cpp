@@ -10,7 +10,6 @@ namespace {
 std::atomic<uint64_t> g_epoll_waits{0};
 std::atomic<uint64_t> g_epoll_ctls{0};
 std::atomic<uint64_t> g_wakeup_writes{0};
-std::atomic<uint64_t> g_wakeup_reads{0};
 std::atomic<uint64_t> g_doorbell_writes{0};
 std::atomic<uint64_t> g_doorbell_reads{0};
 
@@ -25,9 +24,6 @@ void AddEpollCtls(uint64_t n) noexcept {
 }
 void AddWakeupWrites(uint64_t n) noexcept {
   g_wakeup_writes.fetch_add(n, std::memory_order_relaxed);
-}
-void AddWakeupReads(uint64_t n) noexcept {
-  g_wakeup_reads.fetch_add(n, std::memory_order_relaxed);
 }
 void AddDoorbellWrites(uint64_t n) noexcept {
   g_doorbell_writes.fetch_add(n, std::memory_order_relaxed);
@@ -48,7 +44,6 @@ IoSyscallCounters GlobalIoCounters() noexcept {
   out.sendmsg_calls = WriteSyscallCount();
   out.recv_calls = RecvSyscallCount();
   out.wakeup_writes = g_wakeup_writes.load(std::memory_order_relaxed);
-  out.wakeup_reads = g_wakeup_reads.load(std::memory_order_relaxed);
   out.doorbell_writes = g_doorbell_writes.load(std::memory_order_relaxed);
   out.doorbell_reads = g_doorbell_reads.load(std::memory_order_relaxed);
   return out;

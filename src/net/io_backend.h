@@ -2,7 +2,8 @@
 // of the I/O backend the reactor runs on.
 //
 // The reactor (net/poller.h) runs on epoll: one epoll_wait per loop turn,
-// level-triggered registrations, and each link issuing its own
+// level-triggered registrations (the wake eventfd and the stream-ring
+// doorbells are edge-triggered), and each link issuing its own
 // recv/sendmsg when readiness fires.  The counters below are what the
 // syscall-count tests and `perfbench --trace` difference around a run
 // and divide by deliveries.
@@ -36,7 +37,8 @@ struct IoSyscallCounters {
   uint64_t sendmsg_calls = 0;  // socket.cpp WriteSyscallCount
   uint64_t recv_calls = 0;     // socket.cpp RecvSyscallCount
   uint64_t wakeup_writes = 0;  // EventLoop eventfd kicks (Post, Stop)
-  uint64_t wakeup_reads = 0;   // EventLoop eventfd drains
+  uint64_t wakeup_reads = 0;   // always 0: the edge-triggered kick fd is
+                               // never read (net/poller.h)
   uint64_t doorbell_writes = 0;  // stream-ring doorbell rings (stream_ring.h)
   uint64_t doorbell_reads = 0;   // stream-ring doorbell drains
 
@@ -57,7 +59,6 @@ namespace backend_counters {
 void AddEpollWaits(uint64_t n) noexcept;
 void AddEpollCtls(uint64_t n) noexcept;
 void AddWakeupWrites(uint64_t n) noexcept;
-void AddWakeupReads(uint64_t n) noexcept;
 void AddDoorbellWrites(uint64_t n) noexcept;
 void AddDoorbellReads(uint64_t n) noexcept;
 }  // namespace backend_counters

@@ -413,14 +413,18 @@ bool Link::AdoptRingAsWriter() {
 }
 
 void Link::RegisterDoorbell() {
-  loop_->Add(ring_->wait_fd(), kEventReadable,
+  loop_->Add(ring_->wait_fd(), kEventReadable | kEventEdge,
              [self = shared_from_this()](uint32_t) { self->OnDoorbell(); });
   doorbell_registered_ = true;
 }
 
 void Link::OnDoorbell() {
   if (state() != State::kEstablished || ring_ == nullptr) return;
-  if (!ring_->ClearDoorbell()) {
+  // Edge-triggered: every ring raises its own wake-up, read or not, so the
+  // rings are drained only often enough that they never fill the doorbell
+  // (kDoorbellDrainPeriod, net/stream_ring.h).
+  if (++doorbell_wakes_ % kDoorbellDrainPeriod == 0 &&
+      !ring_->ClearDoorbell()) {
     // The peer closed its end of the doorbell (it is exiting, or
     // misbehaving): no ring comes again.  The socket's EOF, or the write
     // deadline of a writer left waiting for room, closes the link.
@@ -608,7 +612,7 @@ void Link::FlushWriter() {
 void Link::PauseReading() {
   if (state() != State::kEstablished || paused_) return;
   paused_ = true;
-  if (RingReader()) loop_->SetInterest(ring_->wait_fd(), 0);
+  if (RingReader()) loop_->SetInterest(ring_->wait_fd(), kEventEdge);
   UpdateInterest();
 }
 
@@ -616,13 +620,13 @@ void Link::ResumeReading() {
   if (state() != State::kEstablished || !paused_) return;
   paused_ = false;
   if (RingReader()) {
-    loop_->SetInterest(ring_->wait_fd(), kEventReadable);
+    loop_->SetInterest(ring_->wait_fd(), kEventReadable | kEventEdge);
   }
-  // Frames that arrived in the ring while paused rang no doorbell (the
-  // reader was not asleep), and an empty frame whose header the reader
-  // read ahead from the socket raises no readiness: read them on the next
-  // loop turn.  Bytes still in the socket's buffer need nothing:
-  // level-triggered epoll re-reports them.
+  // Frames that arrived in the ring while paused raised no doorbell event
+  // (the reader was awake, or its bell parked), and an empty frame whose
+  // header the reader read ahead from the socket raises no readiness:
+  // read them on the next loop turn.  Bytes still in the socket's buffer
+  // need nothing: level-triggered epoll re-reports them.
   if (RingReader() || reader_.FrameBuffered()) ReadNextTurn();
   UpdateInterest();
 }

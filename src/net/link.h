@@ -224,8 +224,8 @@ class Link : public std::enable_shared_from_this<Link> {
   /// shaped path used to run.  Loop-thread-only.
   void PauseReading();
   /// Re-arms read interest (no-op unless kEstablished); level-triggered
-  /// epoll re-reports any bytes that arrived while paused.
-  /// Loop-thread-only.
+  /// epoll re-reports any bytes that arrived while paused, and a ring
+  /// reader reads its ring on the next turn.  Loop-thread-only.
   void ResumeReading();
 
   /// Owner-initiated close, loop-thread-only.  Does not fire on_closed.
@@ -354,6 +354,7 @@ class Link : public std::enable_shared_from_this<Link> {
   bool ring_fds_sent_ = false;
   std::vector<FdGuard> passed_fds_;  // server: collected from the request
   bool doorbell_registered_ = false;
+  uint32_t doorbell_wakes_ = 0;  // OnDoorbell calls: the drain period
 
   std::atomic<uint64_t> enqueued_{0};
   std::atomic<uint64_t> evicted_{0};

@@ -51,8 +51,10 @@ EventLoop::EventLoop() {
   SFM_CHECK_MSG(timer_fd_ >= 0, "timerfd_create failed");
   // Registered directly with epoll, not through Add: the wake and timer
   // fds are loop plumbing, dispatched by fd compare in Run, and must not
-  // count toward NumHandlers.
-  SFM_CHECK(Ctl(EPOLL_CTL_ADD, wake_fd_, kEventReadable));
+  // count toward NumHandlers.  The wake fd is edge-triggered and never
+  // read: every write raises an edge, and its counter (2^64 - 2 kicks)
+  // cannot fill.
+  SFM_CHECK(Ctl(EPOLL_CTL_ADD, wake_fd_, kEventReadable | kEventEdge));
   SFM_CHECK(Ctl(EPOLL_CTL_ADD, timer_fd_, kEventReadable));
 }
 
@@ -67,6 +69,7 @@ bool EventLoop::Ctl(int op, int fd, uint32_t interest) {
   epoll_event event{};
   if (interest & kEventReadable) event.events |= EPOLLIN | EPOLLRDHUP;
   if (interest & kEventWritable) event.events |= EPOLLOUT;
+  if (interest & kEventEdge) event.events |= EPOLLET;
   event.data.fd = fd;
   backend_counters::AddEpollCtls(1);
   if (::epoll_ctl(epoll_fd_, op, fd, &event) == 0) return true;
@@ -120,8 +123,8 @@ bool EventLoop::InLoopThread() const noexcept {
 
 void EventLoop::Wakeup() {
   const uint64_t one = 1;
-  // A full eventfd counter (impossible here) or EINTR just means the loop
-  // is already due to wake; ignore short writes.
+  // A full eventfd counter (2^64 - 2 kicks: impossible here) or EINTR
+  // just means the loop is already due to wake; ignore short writes.
   backend_counters::AddWakeupWrites(1);
   [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
@@ -265,15 +268,9 @@ void EventLoop::Run() {
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == wake_fd_) {
-        // One read resets the whole eventfd counter, however many kicks
-        // it summed; a kick landing after it re-arms readiness.
-        uint64_t drained;
-        backend_counters::AddWakeupReads(1);
-        [[maybe_unused]] const ssize_t r =
-            ::read(wake_fd_, &drained, sizeof(drained));
-        continue;
-      }
+      // The wake fd carries no work of its own (the task queue is drained
+      // below) and, edge-triggered, needs no read to rearm.
+      if (fd == wake_fd_) continue;
       if (fd == timer_fd_) {
         FireDueTimers();
         continue;

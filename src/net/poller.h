@@ -6,7 +6,12 @@
 // per-connection state machines (net/link.h, net/framing.h) never need
 // their own synchronization.  A loop turn is one epoll_wait(-1) over
 // level-triggered registrations; the handlers then issue their own
-// recv/sendmsg syscalls (DESIGN.md §10).
+// recv/sendmsg syscalls (DESIGN.md §10).  Two kinds of descriptor are
+// edge-triggered instead (`kEventEdge`), because a wake-up is all they
+// carry and reading them would be a syscall spent on clearing readiness:
+// the loop's own wake eventfd (never read: its 64-bit counter cannot fill)
+// and the stream-ring doorbells (drained once per 32 wakes; net/
+// stream_ring.h says why that suffices).
 // A small fixed pool of loops (`Reactor`, sized from the host's core
 // count) carries every TCP publication and subscription link in the
 // process — total transport threads stay constant no matter how many
@@ -15,10 +20,11 @@
 // same argument; see DESIGN.md §8).
 //
 // Cross-thread arming goes through an eventfd wakeup: `Post` enqueues a
-// task and kicks the eventfd, `RunInLoop` runs inline when already on the
-// loop thread, and `RunSync` blocks until the loop has executed the task —
-// the teardown primitive that lets Publication/Subscription destructors
-// guarantee no callback touches freed state.  `RunAfter` schedules delayed
+// task and kicks the eventfd (each write raises an edge), `RunInLoop`
+// runs inline when already on the loop thread, and `RunSync` blocks until
+// the loop has executed the task — the teardown primitive that lets
+// Publication/Subscription destructors guarantee no callback touches
+// freed state.  `RunAfter` schedules delayed
 // tasks on a per-loop timerfd — the facility that lets SimLink-shaped
 // deliveries pace themselves on the loop instead of sleeping a dedicated
 // reader thread.  Both descriptors are registered with epoll like any
@@ -44,6 +50,12 @@ namespace rsf::net {
 /// handler's next recv/sendmsg syscall surfaces the errno or EOF.
 inline constexpr uint32_t kEventReadable = 1u << 0;
 inline constexpr uint32_t kEventWritable = 1u << 1;
+/// Interest-only bit: report readiness edge-triggered (EPOLLET), once per
+/// kernel wake-up of the fd instead of on every turn while it stays ready.
+/// Only for descriptors where every new write raises an edge and whose
+/// handler does not need to read them to stay correct (the stream-ring
+/// doorbells; the loop's wake eventfd).
+inline constexpr uint32_t kEventEdge = 1u << 2;
 
 /// One epoll instance + one servicing thread.  Registration (`Add`,
 /// `SetInterest`, `Remove`) is loop-thread-only: call through RunInLoop /
@@ -97,8 +109,9 @@ class EventLoop {
   /// Loop-thread-only.
   void Add(int fd, uint32_t interest, EventCallback callback);
   /// Replaces the interest bits of a registered fd.  Interest 0 parks the
-  /// fd (no events delivered until re-armed) — the shaped-delivery pause.
-  /// Loop-thread-only.
+  /// fd (no events delivered until re-armed) — the shaped-delivery pause;
+  /// an edge-triggered fd parks with kEventEdge alone.  Re-arming an fd
+  /// that is ready reports it once.  Loop-thread-only.
   void SetInterest(int fd, uint32_t interest);
   /// Unregisters `fd`; no-op if unknown (removal paths may race benignly).
   /// Call BEFORE closing the fd.  Safe to call from inside the fd's own

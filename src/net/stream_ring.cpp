@@ -40,8 +40,9 @@ bool IsUnixStream(int fd) {
 void Ring(int fd) noexcept {
   const uint8_t byte = 1;
   backend_counters::AddDoorbellWrites(1);
-  // A full socket buffer means earlier rings are still unread, so the
-  // other side is already due to wake; a closed end means it is gone.
+  // Never blocks.  A full socket buffer means the other side left more
+  // rings unread than its drain period allows (stream_ring.h): it stalls
+  // only its own link.  A closed end means it is gone.
   [[maybe_unused]] const ssize_t n =
       ::send(fd, &byte, sizeof(byte), MSG_DONTWAIT | MSG_NOSIGNAL);
 }
@@ -134,9 +135,9 @@ StreamRing::~StreamRing() {
 }
 
 bool StreamRing::ClearDoorbell() noexcept {
-  // One bounded recv: rings beyond these bytes (only a misbehaving peer
-  // sends them) keep the descriptor readable for the loop's next turn.
-  uint8_t rings[64];
+  // One bounded recv, larger than the 278 one-byte rings an end can hold:
+  // a drain empties the end of a peer that only rings.
+  uint8_t rings[512];
   backend_counters::AddDoorbellReads(1);
   const ssize_t n = ::recv(bell_.fd(), rings, sizeof(rings), MSG_DONTWAIT);
   if (n > 0) return true;

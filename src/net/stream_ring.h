@@ -23,6 +23,19 @@
 // that the peer can clear, and a publisher blocked in a doorbell call
 // would stall its whole loop).
 //
+// Each side's loop waits on its end edge-triggered (kEventEdge), and a
+// wake-up alone is the message: the rings are not read per wake, only one
+// bounded recv every kDoorbellDrainPeriod wakes, which empties the end.
+// A unix-stream send raises a new edge for every byte it queues, read or
+// not, so no ring is missed for want of a drain.  The unread rings stay
+// few: a side rings only when it finds the other asleep (or waiting for
+// room), a flag the other sets at most once per read, and a side's reads
+// between two of its doorbell wakes are the few of one loop turn — so the
+// rings of a drain period of 32 wakes stay far below the 278 one-byte
+// sends a default socket pair takes before EAGAIN.  A peer that rings more
+// fills only its own link's doorbell: its rings fail nonblocking, and the
+// link stalls until EOF or the write deadline closes it.
+//
 // Shared state is two indices that only grow: `head` (bytes the writer has
 // produced) and `tail` (bytes the reader has consumed).  Byte i lives at
 // data[i % kStreamRingCapacity].  Neither side trusts the other's index:
@@ -94,6 +107,13 @@ inline constexpr size_t kStreamRingPublishBytes = 64 * 1024;
 /// 1 kHz stream never polls.  See EXPERIMENTS.md, "Same-host stream
 /// rings".
 inline constexpr uint64_t kStreamRingPollNanos = 50'000;
+
+/// A side that waits on its doorbell edge-triggered drains it on every
+/// this many wakes (StreamRing::ClearDoorbell): often enough that the
+/// rings left unread never fill the pair's socket buffer (about 278
+/// one-byte rings), rarely enough that the drain's recv vanishes from the
+/// per-delivery cost.  See the header comment.
+inline constexpr uint32_t kDoorbellDrainPeriod = 32;
 
 /// The poll window after a sleep: the halt-polling rule (KVM's).  A sleep
 /// that began at `slept_at` and that the writer's ring stamped `rang_at`
@@ -172,13 +192,15 @@ class StreamRing final : public ByteStream {
   /// starts the next lap instead).
   Result<size_t> WriteSome(std::span<const iovec> iov) override;
 
-  /// This side's end of the doorbell pair.  It turns readable when the
-  /// other side rings (or closes its end); register it with the loop
-  /// (EventLoop::Add).
+  /// This side's end of the doorbell pair.  Each ring of the other side
+  /// (and its close) raises an edge on it; register it with the loop
+  /// edge-triggered (EventLoop::Add with kEventEdge).
   [[nodiscard]] int wait_fd() const noexcept { return bell_.fd(); }
-  /// Consumes the rings waiting on wait_fd() (one nonblocking recv).
-  /// False once the other side has closed its end or broken it: no ring
-  /// will come again, so stop waiting on it.
+  /// Consumes the rings waiting on wait_fd() (one nonblocking recv of up
+  /// to 512 bytes, more than an end holds): call it every
+  /// kDoorbellDrainPeriod wakes.  False once the other side
+  /// has closed its end or broken it: no ring will come again, so stop
+  /// waiting on it.
   [[nodiscard]] bool ClearDoorbell() noexcept;
 
   /// Reader only: bytes are waiting.  No flag change, no syscall.

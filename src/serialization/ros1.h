@@ -87,7 +87,10 @@ void WriteField(uint8_t*& out, const T& field) {
     StoreLE<uint32_t>(out, static_cast<uint32_t>(field.size()));
     out += 4;
     if constexpr (is_scalar_v<E>) {
-      std::memcpy(out, field.data(), field.size() * sizeof(E));
+      // An empty vector's data() may be null, which memcpy must not see.
+      if (!field.empty()) {
+        std::memcpy(out, field.data(), field.size() * sizeof(E));
+      }
       out += field.size() * sizeof(E);
     } else {
       for (const auto& element : field) WriteField(out, element);
@@ -120,6 +123,7 @@ class Reader {
 
   Status PopBytes(void* dst, size_t count) {
     if (Remaining() < count) return Truncated();
+    if (count == 0) return Status::Ok();  // dst may be an empty vector's null
     std::memcpy(dst, cursor_, count);
     cursor_ += count;
     return Status::Ok();

@@ -1,15 +1,17 @@
 // Tests for the reactor (net/poller.h) and the resumable framing state
-// machines it drives (FrameReader/FrameWriter): task posting and the
-// RunSync teardown handshake, readiness dispatch, frames split across
-// arbitrary readiness events, mid-frame peer close, short-write resume,
-// drop-oldest eviction, and a mixed connect/disconnect stress that the CI
-// ThreadSanitizer job runs.  The FrameReader/FrameWriter suites drive
-// sockets directly, without a loop.
+// machines it drives (FrameReader/FrameWriter): task posting (with the
+// never-read edge-triggered wake fd) and the RunSync teardown handshake,
+// readiness dispatch, frames split across arbitrary readiness events,
+// mid-frame peer close, short-write resume, drop-oldest eviction over the
+// writer's circular queue, and a mixed connect/disconnect stress that the
+// CI ThreadSanitizer job runs.  The FrameReader/FrameWriter suites drive
+// sockets (or a capped in-memory stream) directly, without a loop.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "common/endian.h"
 #include "backend_param.h"
 #include "net/framing.h"
+#include "net/io_backend.h"
 #include "net/poller.h"
 #include "net/socket.h"
 
@@ -79,6 +82,38 @@ TEST_P(EventLoopBackends, PostRunsTaskOnLoopThread) {
   }));
   ASSERT_TRUE(WaitFor([&] { return ran.load(std::memory_order_acquire); }));
   EXPECT_NE(loop_thread, std::this_thread::get_id());
+  loop.Stop();
+}
+
+TEST_P(EventLoopBackends, PostsFromAnotherThreadWakeTheLoopWithoutReads) {
+  // The wake eventfd is edge-triggered and never read, so its counter only
+  // grows: every kick must still raise an edge.  One post at a time (the
+  // loop asleep before each) and then a burst: every task runs, and the
+  // loop's only syscalls are the kicks and its epoll_waits.
+  EventLoop& loop = *loop_;
+  loop.Start();
+  loop.RunSync([] {});
+  constexpr int kPosts = 1000;
+  std::atomic<int> ran{0};
+  std::atomic<bool> lost_wakeup{false};
+  const IoSyscallCounters before = GlobalIoCounters();
+  std::thread poster([&] {
+    for (int i = 0; i < kPosts && !lost_wakeup.load(); ++i) {
+      loop.Post([&] { ran.fetch_add(1); });
+      lost_wakeup.store(!WaitFor([&] { return ran.load() == i + 1; }));
+    }
+    for (int i = 0; i < kPosts; ++i) loop.Post([&] { ran.fetch_add(1); });
+  });
+  poster.join();
+  ASSERT_FALSE(lost_wakeup.load());
+  ASSERT_TRUE(WaitFor([&] { return ran.load() == 2 * kPosts; }));
+  const IoSyscallCounters after = GlobalIoCounters();
+  EXPECT_EQ(after.wakeup_reads - before.wakeup_reads, 0u);
+  EXPECT_EQ(after.wakeup_writes - before.wakeup_writes,
+            static_cast<uint64_t>(2 * kPosts));
+  EXPECT_EQ(after.TotalSyscalls() - before.TotalSyscalls(),
+            (after.wakeup_writes - before.wakeup_writes) +
+                (after.epoll_waits - before.epoll_waits));
   loop.Stop();
 }
 
@@ -480,6 +515,63 @@ TEST(FrameWriter, DropOldestEvictsQueuedNotInFlight) {
     if (writer.HasPending()) SleepForNanos(100'000);
   }
   drainer.join();
+}
+
+/// A stream that accepts `budget` bytes per write and keeps them.
+class CappedStream final : public ByteStream {
+ public:
+  Result<size_t> ReadSome(std::span<uint8_t>) override { return size_t{0}; }
+  Result<size_t> WriteSome(std::span<const iovec> iov) override {
+    size_t taken = 0;
+    for (const iovec& v : iov) {
+      const size_t n = std::min(v.iov_len, budget - taken);
+      const auto* bytes = static_cast<const uint8_t*>(v.iov_base);
+      wire.insert(wire.end(), bytes, bytes + n);
+      taken += n;
+    }
+    budget -= taken;
+    return taken;
+  }
+  size_t budget = 0;
+  std::vector<uint8_t> wire;
+};
+
+TEST(FrameWriter, QueueWrapsGrowsAndEvictsInOrder) {
+  // The queue's slots wrap and grow while wrapped; drop-oldest still
+  // spares a started frame, frames leave in order, and a sent or evicted
+  // frame's payload holder is released.
+  std::vector<std::shared_ptr<uint8_t[]>> payloads;
+  FrameWriter writer;
+  const auto enqueue = [&](size_t max_pending = 0) {
+    auto payload = std::shared_ptr<uint8_t[]>(new uint8_t[1]);
+    payload[0] = static_cast<uint8_t>(payloads.size());
+    payloads.push_back(payload);
+    return writer.Enqueue(std::move(payload), 1, max_pending);
+  };
+  CappedStream out;
+  constexpr size_t kWire = 5;  // 4-byte header + 1 payload byte
+  for (int i = 0; i < 5; ++i) enqueue();
+  out.budget = 3 * kWire;
+  ASSERT_TRUE(writer.Flush(out).ok());
+  EXPECT_EQ(writer.PendingFrames(), 2u);
+  for (int i = 0; i < 10; ++i) enqueue();  // wraps, then grows
+  EXPECT_EQ(writer.PendingFrames(), 12u);
+  out.budget = kWire + 2;  // frame 3 whole, frame 4 started
+  ASSERT_TRUE(writer.Flush(out).ok());
+  EXPECT_TRUE(enqueue(/*max_pending=*/11));  // evicts frame 5, not 4
+  EXPECT_EQ(writer.PendingFrames(), 11u);
+  EXPECT_EQ(payloads[5].use_count(), 1);
+  out.budget = 1000;
+  ASSERT_TRUE(writer.Flush(out).ok());
+  EXPECT_FALSE(writer.HasPending());
+  std::vector<uint8_t> order;
+  for (size_t at = 4; at < out.wire.size(); at += kWire) {
+    order.push_back(out.wire[at]);
+  }
+  const std::vector<uint8_t> expected = {0, 1, 2, 3, 4, 6, 7, 8,
+                                         9, 10, 11, 12, 13, 14, 15};
+  EXPECT_EQ(order, expected);
+  for (const auto& payload : payloads) EXPECT_EQ(payload.use_count(), 1);
 }
 
 TEST(FrameWriter, AdaptiveGatherBudgetGrowsWithDepthAndDecaysWhenShallow) {

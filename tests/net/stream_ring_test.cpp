@@ -9,8 +9,10 @@
 // frames bypass the socket, frames written before a close arrive before
 // the EOF, a refused offer stays on the socket, a full ring keeps
 // drop-oldest and the write deadline, a hostile subscriber cannot block
-// the publisher's producers or loop, and cycling links leaks no
-// descriptor or mapping.
+// the publisher's producers or loop, the edge-triggered doorbells (isolated
+// frames each wake the reader with a drain only every 32 wakes, rings
+// while paused are read on resume, a flooded doorbell stalls only its own
+// link), and cycling links leaks no descriptor or mapping.
 #include <dirent.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -31,6 +33,7 @@
 
 #include "backend_param.h"
 #include "common/clock.h"
+#include "common/log.h"
 #include "net/framing.h"
 #include "net/io_backend.h"
 #include "net/link.h"
@@ -724,6 +727,54 @@ TEST_P(RingLinkTest, FullRingKeepsDropOldestAndTheWriteDeadline) {
             stats.frames_sent + stats.frames_evicted + stats.frames_stranded);
 }
 
+/// A raw subscriber that offered a ring over AF_UNIX, and the publisher
+/// Link that accepted it on a loop and granted the ring.
+struct RawRingLink {
+  TcpConnection subscriber;
+  std::unique_ptr<StreamRing> ring;  // the subscriber's mapping
+  std::shared_ptr<Link> publisher;   // null when set-up failed
+};
+
+RawRingLink ConnectRawSubscriber(uint16_t port, TcpListener& local,
+                                 EventLoop* loop, Link::Options options) {
+  RawRingLink raw;
+  auto subscriber = TcpConnection::ConnectLocal(port);
+  auto ring = StreamRing::Create();
+  EXPECT_TRUE(subscriber.ok() && ring.ok());
+  if (!subscriber.ok() || !ring.ok()) return raw;
+  raw.subscriber = *std::move(subscriber);
+  raw.ring = *std::move(ring);
+  std::vector<uint8_t> request(4);
+  const std::vector<uint8_t> body = Bytes("hello ring");
+  const uint32_t length = static_cast<uint32_t>(body.size());
+  std::memcpy(request.data(), &length, sizeof(length));
+  request.insert(request.end(), body.begin(), body.end());
+  const iovec iov{request.data(), request.size()};
+  const auto passed = raw.ring->PassedFds();
+  auto sent = raw.subscriber.WriteSome(std::span<const iovec>(&iov, 1),
+                                       std::span<const int>(passed));
+  EXPECT_TRUE(sent.ok() && *sent == request.size());
+  auto conn = local.Accept();
+  EXPECT_TRUE(conn.ok());
+  if (!conn.ok()) return raw;
+  auto established = std::make_shared<std::atomic<bool>>(false);
+  Link::Callbacks callbacks;
+  callbacks.on_handshake_request = [](const uint8_t*, uint32_t,
+                                      std::vector<uint8_t>* reply,
+                                      Link::RingHandshake* ring_handshake) {
+    ring_handshake->granted = ring_handshake->offered;
+    *reply = Bytes("ring");
+    return true;
+  };
+  callbacks.on_established = [established](const std::shared_ptr<Link>&) {
+    established->store(true);
+  };
+  raw.publisher =
+      Link::Accepted(*std::move(conn), loop, options, std::move(callbacks));
+  EXPECT_TRUE(WaitFor([&] { return established->load(); }));
+  return raw;
+}
+
 TEST_P(RingLinkTest, HostileSubscriberCannotBlockThePublisher) {
   // A raw subscriber offers a ring, keeps its copy of the writer's end of
   // the doorbell, makes it blocking, fills it and flags sleep: every
@@ -736,45 +787,16 @@ TEST_P(RingLinkTest, HostileSubscriberCannotBlockThePublisher) {
   ASSERT_TRUE(tcp.ok());
   auto local = TcpListener::ListenLocal(tcp->port());
   ASSERT_TRUE(local.ok());
-  auto subscriber = TcpConnection::ConnectLocal(tcp->port());
-  ASSERT_TRUE(subscriber.ok());
-  auto ring = StreamRing::Create();
-  ASSERT_TRUE(ring.ok());
-  std::vector<uint8_t> request(4);
-  const std::vector<uint8_t> body = Bytes("hello ring");
-  const uint32_t length = static_cast<uint32_t>(body.size());
-  std::memcpy(request.data(), &length, sizeof(length));
-  request.insert(request.end(), body.begin(), body.end());
-  const iovec iov{request.data(), request.size()};
-  const auto passed = (*ring)->PassedFds();
-  auto sent = subscriber->WriteSome(std::span<const iovec>(&iov, 1),
-                                    std::span<const int>(passed));
-  ASSERT_TRUE(sent.ok());
-  ASSERT_EQ(*sent, request.size());
-
-  auto conn = local->Accept();
-  ASSERT_TRUE(conn.ok());
-  std::atomic<bool> established{false};
-  Link::Callbacks callbacks;
-  callbacks.on_handshake_request = [](const uint8_t*, uint32_t,
-                                      std::vector<uint8_t>* reply,
-                                      Link::RingHandshake* ring_handshake) {
-    ring_handshake->granted = ring_handshake->offered;
-    *reply = Bytes("ring");
-    return true;
-  };
-  callbacks.on_established = [&](const std::shared_ptr<Link>&) {
-    established.store(true);
-  };
   Link::Options options;
   options.write_timeout_nanos = 10'000'000'000ull;
-  auto publisher = Link::Accepted(*std::move(conn), &loop, options,
-                                  std::move(callbacks));
-  ASSERT_TRUE(WaitFor([&] { return established.load(); }));
+  RawRingLink raw = ConnectRawSubscriber(tcp->port(), *local, &loop, options);
+  const std::shared_ptr<Link> publisher = raw.publisher;
+  ASSERT_NE(publisher, nullptr);
   ASSERT_TRUE(publisher->ring());
+  auto& ring = raw.ring;
 
-  HeaderTamper tamper(**ring);
-  const int shared_end = passed[1];
+  HeaderTamper tamper(*ring);
+  const int shared_end = ring->PassedFds()[1];
   MakeBlocking(shared_end);
   ::alarm(60);
   FillDoorbell(shared_end);
@@ -790,7 +812,7 @@ TEST_P(RingLinkTest, HostileSubscriberCannotBlockThePublisher) {
   // Ring the publisher, and race its loop to the byte.
   for (int i = 0; i < 100; ++i) {
     const uint8_t byte = 1;
-    ASSERT_EQ(::send((*ring)->wait_fd(), &byte, 1, MSG_DONTWAIT), 1);
+    ASSERT_EQ(::send(ring->wait_fd(), &byte, 1, MSG_DONTWAIT), 1);
     uint8_t stolen;
     (void)::recv(shared_end, &stolen, 1, MSG_DONTWAIT);
     loop.RunSync([] {});
@@ -799,6 +821,162 @@ TEST_P(RingLinkTest, HostileSubscriberCannotBlockThePublisher) {
   ::alarm(0);
   publisher->CloseSync();
   loop.Stop();
+}
+
+/// Waits like WaitFor (5 s), but at a 20 µs grain: for loops of single
+/// frames.
+template <typename Predicate>
+bool WaitBriefly(Predicate predicate) {
+  const uint64_t deadline = MonotonicNanos() + 5'000'000'000ull;
+  while (MonotonicNanos() < deadline) {
+    if (predicate()) return true;
+    SleepForNanos(20'000);
+  }
+  return predicate();
+}
+
+/// The header of the one stream ring mapped in this process, found in
+/// /proc/self/maps (a pair's two mappings alias one memfd).
+StreamRingHeader* MappedRingHeader() {
+  std::ifstream maps("/proc/self/maps");
+  for (std::string line; std::getline(maps, line);) {
+    if (line.find("memfd:rsf.ring") == std::string::npos) continue;
+    return reinterpret_cast<StreamRingHeader*>(
+        static_cast<uintptr_t>(std::stoull(line, nullptr, 16)));
+  }
+  return nullptr;
+}
+
+TEST_P(RingLinkTest, IsolatedFramesNeedNoDoorbellReadEach) {
+  // Each frame finds the reader asleep, so each rings its doorbell, and
+  // the reader's loop wakes on the ring's edge.  The reader drains the
+  // doorbell only every kDoorbellDrainPeriod wakes.  Without those drains
+  // the 279th unread ring would not fit in the doorbell, and its frame
+  // would never be delivered.
+  RingLinkPair pair(/*grant=*/true, Link::Options{});
+  ASSERT_TRUE(pair.client->ring());
+  constexpr uint64_t kRings = 1000;
+  const auto payload = Payload(320, 7);
+  const IoSyscallCounters before = GlobalIoCounters();
+  int sent = 0;
+  // A reader woken within its poll window polls instead of sleeping, so
+  // not quite every frame rings: send until kRings have.
+  while (GlobalIoCounters().doorbell_writes - before.doorbell_writes < kRings &&
+         sent < 5 * static_cast<int>(kRings)) {
+    pair.Send(payload, 320, 1);
+    ++sent;
+    ASSERT_TRUE(WaitBriefly([&] { return pair.frames.load() == sent; }))
+        << "frame " << sent << " was not delivered";
+    SleepForNanos(2 * kStreamRingPollNanos);  // the reader goes to sleep
+  }
+  const IoSyscallCounters after = GlobalIoCounters();
+  const uint64_t rings = after.doorbell_writes - before.doorbell_writes;
+  const uint64_t drains = after.doorbell_reads - before.doorbell_reads;
+  const double syscalls_per_delivery =
+      static_cast<double>(after.TotalSyscalls() - before.TotalSyscalls()) /
+      sent;
+  RSF_INFO("%d frames, %llu rings, %llu drains, %.3f syscalls per delivery",
+           sent, static_cast<unsigned long long>(rings),
+           static_cast<unsigned long long>(drains), syscalls_per_delivery);
+  EXPECT_GE(rings, kRings);
+  EXPECT_LE(drains, rings / kDoorbellDrainPeriod + 2);
+  // A ring, an epoll_wait, and a share of a drain.
+  EXPECT_LE(syscalls_per_delivery, 2.1);
+  EXPECT_EQ(after.sendmsg_calls - before.sendmsg_calls, 0u);
+  EXPECT_EQ(after.recv_calls - before.recv_calls, 0u);
+  EXPECT_EQ(pair.client->stats().frames_received,
+            static_cast<uint64_t>(sent));
+}
+
+TEST_P(RingLinkTest, RingsWhilePausedAreDeliveredOnResume) {
+  // A paused ring reader parks its doorbell.  Frames that ring it meanwhile
+  // (the sleep flag forced, as a reader asleep at every frame would have
+  // it) are all read after ResumeReading, and the doorbell still wakes
+  // the reader for isolated frames afterwards.
+  RingLinkPair pair(/*grant=*/true, Link::Options{});
+  ASSERT_TRUE(pair.client->ring());
+  pair.client_loop.RunSync([&] { pair.client->PauseReading(); });
+  StreamRingHeader* header = MappedRingHeader();
+  ASSERT_NE(header, nullptr);
+  constexpr int kPaused = 100;
+  const auto payload = Payload(320, 8);
+  const uint64_t rings_before = GlobalIoCounters().doorbell_writes;
+  for (int i = 0; i < kPaused; ++i) {
+    header->reader_sleeping.store(1);
+    pair.Send(payload, 320, 1);
+  }
+  EXPECT_EQ(GlobalIoCounters().doorbell_writes - rings_before,
+            static_cast<uint64_t>(kPaused));
+  SleepForNanos(20'000'000);
+  EXPECT_EQ(pair.frames.load(), 0);
+  pair.client_loop.RunSync([&] { pair.client->ResumeReading(); });
+  ASSERT_TRUE(WaitFor([&] { return pair.frames.load() == kPaused; }));
+  for (int i = 1; i <= 50; ++i) {
+    SleepForNanos(2 * kStreamRingPollNanos);
+    pair.Send(payload, 320, 1);
+    ASSERT_TRUE(WaitFor([&] { return pair.frames.load() == kPaused + i; }));
+  }
+}
+
+TEST_P(RingLinkTest, FloodedDoorbellStallsOnlyItsOwnLink) {
+  // Two publisher links on one loop.  Link A's raw subscriber fills A's
+  // doorbell end with junk and lets A fill the ring; when it then frees
+  // the ring, its ring for room finds the end full and is lost.  A stalls
+  // until its write deadline closes it, while link B, on the same
+  // publisher loop, keeps delivering.
+  RingLinkPair pair(/*grant=*/true, Link::Options{});  // link B
+  ASSERT_TRUE(pair.server->ring());
+  EventLoop& loop = pair.server_loop;
+
+  Link::Options options;
+  options.write_timeout_nanos = 300'000'000;
+  RawRingLink raw =
+      ConnectRawSubscriber(pair.tcp.port(), pair.local, &loop, options);
+  const std::shared_ptr<Link> flooded = raw.publisher;
+  ASSERT_NE(flooded, nullptr);
+  ASSERT_TRUE(flooded->ring());
+  auto& ring = raw.ring;
+
+  // The subscriber's end sends to the publisher's: fill it (twice, as
+  // the publisher's loop may drain a few bytes on its wakes).
+  FillDoorbell(ring->wait_fd());
+  loop.RunSync([] {});
+  FillDoorbell(ring->wait_fd());
+  // 20 frames of 64 KiB: about 16 fill the ring, the rest wait in A's
+  // queue.
+  const auto big = Payload(64 * 1024, 6);
+  for (int i = 0; i < 20; ++i) {
+    if (flooded->WriteThrough(OutFrame{big, 64 * 1024}).queued) {
+      loop.RunInLoop([flooded] { flooded->FlushOnLoop(); });
+    }
+  }
+  loop.RunSync([] {});
+  const uint64_t sent_when_full = flooded->stats().frames_sent;
+  // Free the ring: the ring for room cannot enter the full doorbell.
+  std::vector<uint8_t> sink(64 * 1024);
+  uint64_t freed = 0;
+  for (;;) {
+    auto n = ring->ReadSome(sink);
+    ASSERT_TRUE(n.ok());
+    if (*n == 0) break;
+    freed += *n;
+  }
+  EXPECT_EQ(freed, kStreamRingCapacity);
+
+  // Link B keeps delivering isolated frames on the same publisher loop.
+  const auto small = Payload(320, 9);
+  int delivered = 0;
+  while (flooded->state() != Link::State::kClosed && delivered < 10'000) {
+    pair.Send(small, 320, 1);
+    ++delivered;
+    ASSERT_TRUE(WaitFor([&] { return pair.frames.load() == delivered; }));
+  }
+  EXPECT_EQ(flooded->state(), Link::State::kClosed);
+  EXPECT_EQ(flooded->stats().frames_sent, sent_when_full);
+  EXPECT_GT(flooded->stats().frames_stranded, 0u);
+  EXPECT_GT(delivered, 1);
+  EXPECT_TRUE(pair.server->established());
+  flooded->CloseSync();
 }
 
 size_t OpenFds() {
